@@ -1337,11 +1337,10 @@ impl Exec for EagerExec {
         let nst = stages.len();
         let xd = xv.data();
         let out = refit_slot(slot, xv.shape().dims());
-        // Vector body for the `Fast` profile. Every stage is a plain
-        // lane-wise add/sub/mul/max — no fusing, no reassociation — so each
-        // lane computes the exact scalar expression and the vector path is
-        // bit-identical to the scalar loop below (the only Fast/Exact
-        // divergence in this op is none; Fast merely vectorizes).
+        // Every stage is a plain lane-wise add/sub/mul/max — no fusing, no
+        // reassociation — so each lane computes the exact scalar expression
+        // of the tail loop and the op is bit-identical under both profiles
+        // at every SIMD level.
         #[inline(always)]
         unsafe fn run_plane<S: qn_simd::arch::SimdF32>(
             oplane: &mut [f32],
@@ -1419,10 +1418,7 @@ impl Exec for EagerExec {
         ) {
             run_plane::<qn_simd::arch::Sse2F32>(oplane, xd, prep, ci, base)
         }
-        let fast = match qn_simd::KernelProfile::active() {
-            qn_simd::KernelProfile::Fast => Some(qn_simd::SimdLevel::active()),
-            qn_simd::KernelProfile::Exact => None,
-        };
+        let level = qn_simd::SimdLevel::active();
         // one pass: per element, the stages apply in order with the exact
         // scalar expression of their unfused counterparts, so the fusion is
         // bit-identical to the decomposed pipeline. Parallel over disjoint
@@ -1434,44 +1430,24 @@ impl Exec for EagerExec {
             |plane, oplane| {
                 let ci = plane % c;
                 let base = plane * hw;
-                match fast {
+                match level {
                     // SAFETY: the dispatched level never exceeds the CPU's
                     // detected features (`SimdLevel::active` clamps), and
                     // every lane read stays inside `xd`/`r` because each
                     // `oplane` chunk maps to the same-length `[base..)`
                     // window of the equally-sized inputs.
                     #[cfg(target_arch = "x86_64")]
-                    Some(qn_simd::SimdLevel::Avx2) => unsafe {
+                    qn_simd::SimdLevel::Avx2 => unsafe {
                         run_plane_avx2(oplane, xd, &prep[..nst], ci, base)
                     },
                     #[cfg(target_arch = "x86_64")]
-                    Some(qn_simd::SimdLevel::Sse2) => unsafe {
+                    qn_simd::SimdLevel::Sse2 => unsafe {
                         run_plane_sse2(oplane, xd, &prep[..nst], ci, base)
                     },
                     // SAFETY: `ScalarF32` has no ISA requirement.
-                    Some(_) => unsafe {
+                    _ => unsafe {
                         run_plane::<qn_simd::arch::ScalarF32>(oplane, xd, &prep[..nst], ci, base)
                     },
-                    None => {
-                        for (j, o) in oplane.iter_mut().enumerate() {
-                            let mut v = xd[base + j];
-                            for stage in prep[..nst].iter() {
-                                match stage.as_ref().expect("prepared above") {
-                                    Prep::Bias(bs) => v += bs[ci],
-                                    Prep::Scale(ss) => v *= ss[ci],
-                                    Prep::Norm {
-                                        mean,
-                                        inv,
-                                        gamma,
-                                        beta,
-                                    } => v = (v - mean[ci]) * inv[ci] * gamma[ci] + beta[ci],
-                                    Prep::Relu => v = v.max(0.0),
-                                    Prep::Residual(r) => v += r[base + j],
-                                }
-                            }
-                            *o = v;
-                        }
-                    }
                 }
             },
         );

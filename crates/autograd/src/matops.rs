@@ -4,8 +4,8 @@
 //! batch dimension of `bmm` is a loop of zero-copy [`MatRef`] subslices, and
 //! the backward passes pass stride-transposed views instead of materializing
 //! (or hand-rolling) transposed kernels. That gives all of them the core's
-//! guarantees for free — bit-identical results at any thread count and the
-//! finiteness-guarded zero-coefficient skip (`0 × NaN` propagates).
+//! guarantees for free — bit-identical results at any thread count and
+//! IEEE-754 propagation (`0 × NaN` is NaN).
 
 use crate::graph::{Graph, Var};
 use qn_tensor::{gemm_batched, MatRef, Tensor};
@@ -84,8 +84,7 @@ pub(crate) fn bmm_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize) {
 
 /// `[N, M, K] × [N, K, P] -> [N, M, P]` through the shared GEMM core: one
 /// zero-copy `MatRef` subslice pair per batch element. Bit-identical at any
-/// thread count; the finiteness-guarded zero-coefficient skip (dropped
-/// outright in PR 3) is back via the core's packing step.
+/// thread count; `0 × NaN` propagates.
 pub(crate) fn bmm_forward(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, m, _k, p) = bmm_dims(a, b);
     let mut out = vec![0.0f32; n * m * p];

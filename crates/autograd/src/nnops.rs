@@ -619,25 +619,18 @@ pub(crate) fn batch_norm_infer_into(
         "batch_norm_infer_into length mismatch"
     );
     // The vector per-plane affine applies the same `(x − μ)·σ⁻¹·γ + β`
-    // operation order lane-wise, so the `Fast` path is bit-identical here.
-    let fast = KernelProfile::active() == KernelProfile::Fast;
+    // operation order lane-wise, so it is bit-identical under both profiles.
     qn_parallel::par_chunks_mut_min(dst, hw.max(1), PAR_MIN_ELEMS, |plane, out_plane| {
         let ci = plane % c;
         let base = plane * hw;
-        if fast {
-            qn_simd::affine_channel_to(
-                out_plane,
-                &xv.data()[base..base + hw],
-                mean[ci],
-                inv_std[ci],
-                gv.data()[ci],
-                bv.data()[ci],
-            );
-            return;
-        }
-        for (j, o) in out_plane.iter_mut().enumerate() {
-            *o = (xv.data()[base + j] - mean[ci]) * inv_std[ci] * gv.data()[ci] + bv.data()[ci];
-        }
+        qn_simd::affine_channel_to(
+            out_plane,
+            &xv.data()[base..base + hw],
+            mean[ci],
+            inv_std[ci],
+            gv.data()[ci],
+            bv.data()[ci],
+        );
     });
 }
 

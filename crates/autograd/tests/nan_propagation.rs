@@ -1,6 +1,6 @@
 //! Regression tests: non-finite values must propagate through the matmul
 //! ops of **both** execution contexts (taped [`Graph`] and tape-free
-//! [`EagerExec`]), now that the zero-skip fast path is finiteness-guarded.
+//! [`EagerExec`]): the shared GEMM core never skips a zero coefficient.
 
 use qn_autograd::{EagerExec, Exec, Graph, Var};
 use qn_tensor::{Conv2dSpec, Tensor};
@@ -79,9 +79,7 @@ fn bmm_propagates_nan_in_both_contexts() {
 
 #[test]
 fn bmm_zero_skip_reinstated_stays_exact() {
-    // PR 3 removed bmm's zero-coefficient skip outright; routing bmm
-    // through the shared GEMM core brings it back finiteness-guarded. A
-    // zero attention row over a *finite* value matrix must still produce
+    // A zero attention row over a *finite* value matrix must produce
     // exact zeros, while a zero row over a non-finite one must go NaN.
     let a = t(&[0.0, 0.0, 1.0, 2.0], &[1, 2, 2]); // row 0 is all zeros
     let b_fin = t(&[3.0, 4.0, 5.0, 6.0], &[1, 2, 2]);

@@ -4,10 +4,13 @@
 //! transformer attention products (square `matmul`s per head).
 //!
 //! For every shape the bench measures single-thread GFLOP/s of the naive
-//! seed kernel, the packed scalar (`Exact`-profile) core, and the packed
-//! vector (`Fast`-profile) core at the active SIMD level; asserts the exact
-//! outputs are bit-identical to the seed (the determinism contract) and the
-//! fast outputs are close (the ULP tier); and records everything —
+//! seed kernel and of the packed vector core at the active SIMD level under
+//! both profiles: `Exact`, which runs vector code only where every lane
+//! computes the seed's scalar expression (an unfused multiply then add),
+//! and `Fast`, which adds FMA fusing (and, in other kernels, reassociated
+//! reductions and polynomial `exp`). It asserts the exact outputs are
+//! bit-identical to the seed (the determinism contract) and the fast
+//! outputs are close (the ULP tier); and records everything —
 //! including the packed core's full-pool throughput — in `BENCH_gemm.json`
 //! at the repo root. Set `QN_SMOKE=1` for a CI-sized run,
 //! `QN_SIMD={scalar,sse2,avx2}` to pin the vector level.

@@ -1,15 +1,14 @@
 //! Optimizers with parameter groups and gradient clipping.
 //!
-//! Update loops are profile-aware: under [`KernelProfile::Fast`] they run
-//! the vectorized `qn_simd::{sgd_update, adam_update}` kernels, under
-//! `Exact` the seed scalar loops. The vector kernels are element-local
-//! with no FMA (and correctly-rounded div/sqrt), so both paths produce
-//! bit-identical parameters — the split exists to honor the documented
-//! "Exact never enters vector f32 code" contract, not because results
-//! differ.
+//! Update loops run the vectorized `qn_simd::{sgd_update, adam_update}`
+//! kernels under both `qn_simd::KernelProfile`s. `Exact` runs vector code
+//! only where every lane computes the seed's scalar expression, and these
+//! kernels qualify: they are element-local, with no FMA and with
+//! correctly-rounded div/sqrt, so parameters are bit-identical at every
+//! SIMD level. `Fast` adds FMA fusing, reassociated reductions and a
+//! polynomial `exp`, none of which an update step uses.
 
 use qn_autograd::Parameter;
-use qn_simd::KernelProfile;
 use qn_tensor::{Checkpoint, CheckpointWriter, Tensor, TensorError};
 
 /// Restores one optimizer state tensor from `ckpt`, shape-checked against
@@ -117,7 +116,6 @@ impl Sgd {
     /// Applies one update. `schedule` scales every group's learning rate
     /// (pass the current decay factor, 1.0 for none).
     pub fn step(&mut self, schedule: f32) {
-        let fast = KernelProfile::active() == KernelProfile::Fast;
         for group in &mut self.groups {
             let lr = group.lr_override.unwrap_or(self.config.lr) * schedule;
             let wd = group
@@ -126,23 +124,14 @@ impl Sgd {
             let momentum = self.config.momentum;
             for (p, vel) in group.params.iter().zip(group.velocity.iter_mut()) {
                 p.update(|value, grad| {
-                    if fast {
-                        qn_simd::sgd_update(
-                            value.data_mut(),
-                            vel.data_mut(),
-                            grad.data(),
-                            lr,
-                            momentum,
-                            wd,
-                        );
-                        return;
-                    }
-                    for i in 0..value.numel() {
-                        let g = grad.data()[i] + wd * value.data()[i];
-                        let v = momentum * vel.data()[i] + g;
-                        vel.data_mut()[i] = v;
-                        value.data_mut()[i] -= lr * v;
-                    }
+                    qn_simd::sgd_update(
+                        value.data_mut(),
+                        vel.data_mut(),
+                        grad.data(),
+                        lr,
+                        momentum,
+                        wd,
+                    );
                 });
             }
         }
@@ -269,7 +258,6 @@ impl Adam {
         let eps = self.config.eps;
         let bias1 = 1.0 - b1.powi(self.t as i32);
         let bias2 = 1.0 - b2.powi(self.t as i32);
-        let fast = KernelProfile::active() == KernelProfile::Fast;
         for group in &mut self.groups {
             let lr = group.lr_override.unwrap_or(self.config.lr) * schedule;
             for ((p, m), v) in group
@@ -279,31 +267,18 @@ impl Adam {
                 .zip(group.v.iter_mut())
             {
                 p.update(|value, grad| {
-                    if fast {
-                        qn_simd::adam_update(
-                            value.data_mut(),
-                            m.data_mut(),
-                            v.data_mut(),
-                            grad.data(),
-                            lr,
-                            b1,
-                            b2,
-                            eps,
-                            bias1,
-                            bias2,
-                        );
-                        return;
-                    }
-                    for i in 0..value.numel() {
-                        let g = grad.data()[i];
-                        let mi = b1 * m.data()[i] + (1.0 - b1) * g;
-                        let vi = b2 * v.data()[i] + (1.0 - b2) * g * g;
-                        m.data_mut()[i] = mi;
-                        v.data_mut()[i] = vi;
-                        let mhat = mi / bias1;
-                        let vhat = vi / bias2;
-                        value.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
-                    }
+                    qn_simd::adam_update(
+                        value.data_mut(),
+                        m.data_mut(),
+                        v.data_mut(),
+                        grad.data(),
+                        lr,
+                        b1,
+                        b2,
+                        eps,
+                        bias1,
+                        bias2,
+                    );
                 });
             }
         }

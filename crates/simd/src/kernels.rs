@@ -2,9 +2,14 @@
 //!
 //! Each kernel is written once, generic over [`SimdF32`], then wrapped in
 //! one `#[target_feature]` function per ISA; the public entry points pick
-//! the wrapper for [`SimdLevel::active()`]. These are the building blocks
-//! the `Fast` kernel profile routes through — the `Exact` profile never
-//! calls into this module.
+//! the wrapper for [`SimdLevel::active()`].
+//!
+//! The `Exact` kernel profile calls a kernel here only where every lane
+//! computes the seed's scalar expression: the lane-wise "0 ULP" rows below
+//! (the arithmetic kernels, `affine_channel_to` and the optimizer
+//! updates), which run under both profiles. The rest are `Fast`-only,
+//! because they add FMA fusing, reassociated reductions or the polynomial
+//! `exp`; under `Exact` their callers keep the seed scalar loop.
 //!
 //! Determinism contract per kernel (verified by
 //! `tests/kernel_equivalence.rs`; "0 ULP" = bit-identical to the plain
@@ -24,11 +29,13 @@
 //! | `weighted_square_row`          | k < LANES: 0 ULP; k ≥ LANES: ULP-bounded partial sums |
 //! | `sgd_update`/`adam_update`     | 0 ULP (no FMA, element-local; `divps`/`sqrtps` are correctly rounded) |
 //!
-//! NaN handling: the vector `max` ISA semantics match `x.max(0.0)` for
-//! ReLU (NaN → 0), but reductions and the transcendental kernels assume
-//! finite inputs — feeding NaN/Inf through the `Fast` profile yields
-//! unspecified (not undefined) lane values, whereas `Exact` propagates
-//! them exactly as the seed kernels did.
+//! NaN handling: the lane-wise 0 ULP kernels match the scalar loop on
+//! every input — signed zeros, subnormals, infinities and NaN included
+//! (NaN compared by NaN-ness; payloads are unpinned) — and the vector
+//! `max` matches `x.max(0.0)` for ReLU (NaN and `-0.0` → `+0.0`).
+//! Reductions and the transcendental kernels assume finite inputs:
+//! feeding NaN/Inf through them yields unspecified (not undefined) lane
+//! values.
 
 use crate::arch::ScalarF32;
 use crate::arch::SimdF32;

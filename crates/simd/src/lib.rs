@@ -31,8 +31,8 @@
 //!
 //! | profile | selected by | contract |
 //! |---------|-------------|----------|
-//! | [`KernelProfile::Exact`] (default) | `QN_KERNEL_PROFILE=exact` | The seed scalar kernels run unchanged — bit-identical results at any thread count **and any `QN_SIMD` level** (the vector code is never entered). |
-//! | [`KernelProfile::Fast`] | `QN_KERNEL_PROFILE=fast` | Vector kernels with FMA fusing and reduction reassociation; every kernel is validated against the scalar reference under the documented ULP bound (see the `kernels` module docs, e.g. [`exp_to`]). |
+//! | [`KernelProfile::Exact`] (default) | `QN_KERNEL_PROFILE=exact` | Vector code runs only where every lane computes the seed's scalar expression (lane-wise add/sub/mul/max/div/sqrt, the GEMM's unfused multiply-then-add); everything else keeps the seed scalar loop — bit-identical results at any thread count **and any `QN_SIMD` level**. |
+//! | [`KernelProfile::Fast`] | `QN_KERNEL_PROFILE=fast` | Adds FMA fusing, reassociated reductions and the polynomial `exp`; every such kernel is validated against the scalar reference under the documented ULP bound (see the `kernels` module docs, e.g. [`exp_to`]). |
 //!
 //! `Exact` is the default because the workspace's reproducibility
 //! contract (training resume, checkpoint equivalence, batched-serving
@@ -79,11 +79,12 @@ pub enum SimdLevel {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum KernelProfile {
-    /// The seed scalar kernels, bit-identical at any thread count and
-    /// any [`SimdLevel`]. Default.
+    /// Vector code only where every lane computes the seed's scalar
+    /// expression — bit-identical at any thread count and any
+    /// [`SimdLevel`]. Default.
     Exact = 1,
-    /// Vectorized kernels (FMA fusing, reduction reassociation,
-    /// polynomial `exp`) — ULP-bounded against the scalar reference.
+    /// Adds FMA fusing, reassociated reductions and polynomial `exp` —
+    /// ULP-bounded against the scalar reference.
     Fast = 2,
 }
 

@@ -6,7 +6,9 @@
 //!
 //! - lane-wise arithmetic (`add/sub/mul/scale/add_scalar/square/relu`,
 //!   `affine_channel_to`) is **bit-exact** at every level — the vector ops
-//!   are plain IEEE add/sub/mul/max with no fusing or reassociation;
+//!   are plain IEEE add/sub/mul/max with no fusing or reassociation — on
+//!   random inputs and on every pair of edge values (±0, ±NaN, ±∞,
+//!   ±subnormal, ±`f32::MAX`; NaN compared by NaN-ness);
 //! - `exp_to` ≤ 8 ULP, `sigmoid_to` ≤ 16 ULP, softmax ≤ 32 ULP per
 //!   probability (polynomial `exp`, documented in `qn_simd::math`);
 //! - reductions (`dot`, `reduce_sum`, layer-norm moments, the `k ≥ LANES`
@@ -63,6 +65,103 @@ fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-3.0f32..3.0, n)
 }
 
+/// ±0, ±NaN, ±∞, ±subnormal and ±`f32::MAX`: the inputs whose signed-zero
+/// and non-finite behaviour the `Exact` profile promises to keep.
+const EDGES: [f32; 10] = [
+    0.0,
+    -0.0,
+    f32::NAN,
+    -f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::MIN_POSITIVE / 2.0,
+    -f32::MIN_POSITIVE / 2.0,
+    f32::MAX,
+    f32::MIN,
+];
+
+/// Every ordered pair of [`EDGES`] as `(a[i], b[i])`, followed by seven
+/// repeats: 107 = 13·8 + 3 elements, so every pair lands in a full vector
+/// at each level and the scalar tail still runs.
+fn edge_pairs() -> (Vec<f32>, Vec<f32>) {
+    let (mut a, mut b): (Vec<f32>, Vec<f32>) = EDGES
+        .iter()
+        .flat_map(|&x| EDGES.iter().map(move |&y| (x, y)))
+        .unzip();
+    a.extend_from_within(..7);
+    b.extend_from_within(..7);
+    (a, b)
+}
+
+/// Bit equality, except that any NaN matches any NaN (NaN payloads and
+/// signs are unpinned).
+fn same(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// Every lane-wise arithmetic kernel against its scalar expression at the
+/// forced `level`; `scalars` feed the kernels that take one.
+fn arithmetic_matches_scalar(
+    level: qn_simd::SimdLevel,
+    a: &[f32],
+    b: &[f32],
+    scalars: &[f32],
+) -> Result<(), TestCaseError> {
+    let n = a.len();
+    let mut dst = vec![0.0f32; n];
+    qn_simd::add_to(&mut dst, a, b);
+    for (i, d) in dst.iter().enumerate() {
+        prop_assert!(same(*d, a[i] + b[i]), "add @ {level:?}");
+    }
+    qn_simd::sub_to(&mut dst, a, b);
+    for (i, d) in dst.iter().enumerate() {
+        prop_assert!(same(*d, a[i] - b[i]), "sub @ {level:?}");
+    }
+    qn_simd::mul_to(&mut dst, a, b);
+    for (i, d) in dst.iter().enumerate() {
+        prop_assert!(same(*d, a[i] * b[i]), "mul @ {level:?}");
+    }
+    for &s in scalars {
+        qn_simd::scale_to(&mut dst, a, s);
+        for (i, d) in dst.iter().enumerate() {
+            prop_assert!(same(*d, a[i] * s), "scale @ {level:?}");
+        }
+        let mut buf = a.to_vec();
+        qn_simd::scale_inplace(&mut buf, s);
+        for (i, d) in buf.iter().enumerate() {
+            prop_assert!(same(*d, a[i] * s), "scale_inplace @ {level:?}");
+        }
+        qn_simd::add_scalar_to(&mut dst, a, s);
+        for (i, d) in dst.iter().enumerate() {
+            prop_assert!(same(*d, a[i] + s), "add_scalar @ {level:?}");
+        }
+    }
+    qn_simd::square_to(&mut dst, a);
+    for (i, d) in dst.iter().enumerate() {
+        prop_assert!(same(*d, a[i] * a[i]), "square @ {level:?}");
+    }
+    qn_simd::relu_to(&mut dst, a);
+    for (i, d) in dst.iter().enumerate() {
+        prop_assert!(same(*d, a[i].max(0.0)), "relu({}) @ {level:?}: {d}", a[i]);
+    }
+    Ok(())
+}
+
+/// The per-channel affine against `(x − μ)·σ⁻¹·γ + β` at the forced `level`.
+fn affine_matches_scalar(
+    level: qn_simd::SimdLevel,
+    src: &[f32],
+    [mean, inv, gamma, beta]: [f32; 4],
+) -> Result<(), TestCaseError> {
+    let mut dst = vec![0.0f32; src.len()];
+    qn_simd::affine_channel_to(&mut dst, src, mean, inv, gamma, beta);
+    for (i, d) in dst.iter().enumerate() {
+        let r = (src[i] - mean) * inv * gamma + beta;
+        prop_assert!(same(*d, r), "affine @ {level:?}: {d} vs {r}");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -72,44 +171,7 @@ proptest! {
     fn arithmetic_kernels_are_bit_exact(
         a in vals(67), b in vals(67), s in -4.0f32..4.0
     ) {
-        let n = a.len();
-        for_each_level(|level| {
-            let mut dst = vec![0.0f32; n];
-            qn_simd::add_to(&mut dst, &a, &b);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] + b[i]).to_bits(), "add @ {level:?}");
-            }
-            qn_simd::sub_to(&mut dst, &a, &b);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] - b[i]).to_bits(), "sub @ {level:?}");
-            }
-            qn_simd::mul_to(&mut dst, &a, &b);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] * b[i]).to_bits(), "mul @ {level:?}");
-            }
-            qn_simd::scale_to(&mut dst, &a, s);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] * s).to_bits(), "scale @ {level:?}");
-            }
-            let mut buf = a.clone();
-            qn_simd::scale_inplace(&mut buf, s);
-            for (i, d) in buf.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] * s).to_bits(), "scale_inplace @ {level:?}");
-            }
-            qn_simd::add_scalar_to(&mut dst, &a, s);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] + s).to_bits(), "add_scalar @ {level:?}");
-            }
-            qn_simd::square_to(&mut dst, &a);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == (a[i] * a[i]).to_bits(), "square @ {level:?}");
-            }
-            qn_simd::relu_to(&mut dst, &a);
-            for (i, d) in dst.iter().enumerate() {
-                prop_assert!(d.to_bits() == a[i].max(0.0).to_bits(), "relu @ {level:?}");
-            }
-            Ok(())
-        })?;
+        for_each_level(|level| arithmetic_matches_scalar(level, &a, &b, &[s]))?;
     }
 
     /// The per-channel affine `(x − μ)·σ⁻¹·γ + β` applies the same
@@ -119,16 +181,7 @@ proptest! {
         src in vals(61), mean in -2.0f32..2.0, inv in 0.1f32..4.0,
         gamma in -2.0f32..2.0, beta in -2.0f32..2.0
     ) {
-        let n = src.len();
-        for_each_level(|level| {
-            let mut dst = vec![0.0f32; n];
-            qn_simd::affine_channel_to(&mut dst, &src, mean, inv, gamma, beta);
-            for (i, d) in dst.iter().enumerate() {
-                let r = (src[i] - mean) * inv * gamma + beta;
-                prop_assert!(d.to_bits() == r.to_bits(), "affine @ {level:?}: {d} vs {r}");
-            }
-            Ok(())
-        })?;
+        for_each_level(|level| affine_matches_scalar(level, &src, [mean, inv, gamma, beta]))?;
     }
 
     /// `exp_to` stays within its documented 8 ULP of `f32::exp` over the
@@ -292,6 +345,37 @@ proptest! {
             }
             Ok(())
         })?;
+    }
+}
+
+/// The fixed edge input of [`arithmetic_kernels_are_bit_exact`]: every
+/// pair of [`EDGES`], with every edge value as the scalar operand — pins
+/// signed zeros, subnormals and non-finite propagation, including
+/// `relu_to` on `-0.0` and NaN.
+#[test]
+fn arithmetic_kernels_are_bit_exact_on_edge_values() {
+    let (a, b) = edge_pairs();
+    if let Err(e) = for_each_level(|level| arithmetic_matches_scalar(level, &a, &b, &EDGES)) {
+        panic!("{e}");
+    }
+}
+
+/// The fixed edge input of [`affine_channel_is_bit_exact`]: every value of
+/// [`EDGES`] as the source, under every combination of edge values for
+/// `(μ, σ⁻¹, γ, β)`.
+#[test]
+fn affine_channel_is_bit_exact_on_edge_values() {
+    let (src, _) = edge_pairs();
+    let n = EDGES.len();
+    let result = for_each_level(|level| {
+        for i in 0..n.pow(4) {
+            let params = [0, 1, 2, 3].map(|d| EDGES[i / n.pow(d) % n]);
+            affine_matches_scalar(level, &src, params)?;
+        }
+        Ok(())
+    });
+    if let Err(e) = result {
+        panic!("{e}");
     }
 }
 

@@ -14,17 +14,17 @@
 //! Inputs shorter than [`PAR_MIN_ELEMS`] stay on
 //! the calling thread.
 //!
-//! # Named profile-aware ops
+//! # Named ops
 //!
-//! The closure kernels above are the `Exact` tier. The **named** ops
-//! ([`relu_to`], [`add_to`], [`sigmoid_to`], …) additionally consult
-//! `qn_simd::KernelProfile`: under `Exact` they run the identical closure
-//! loop; under `Fast` they hand each band to the dispatched `qn-simd`
-//! vector kernel. For the arithmetic ops (add/sub/mul/scale/add-scalar/
-//! square/relu) the vector path is lane-wise IEEE-identical to the closure
-//! — no reassociation, no fusing — so those stay bit-identical in *both*
-//! profiles; only `sigmoid_to`/`exp_to` swap in the polynomial
-//! approximation (ULP-bounded, see `qn_simd::math`) under `Fast`.
+//! The **named** ops ([`relu_to`], [`add_to`], [`sigmoid_to`], …) hand
+//! each band to the dispatched `qn-simd` vector kernel wherever every lane
+//! computes the closure's scalar expression: the arithmetic ops (add/sub/
+//! mul/scale/add-scalar/square/relu) are plain lane-wise IEEE operations —
+//! no reassociation, no fusing — so they run vector code under both
+//! `qn_simd::KernelProfile`s and stay bit-identical to the closure loop.
+//! Only `sigmoid_to`/`exp_to` consult the profile: `Exact` keeps the libm
+//! closure, `Fast` swaps in the polynomial approximation (ULP-bounded, see
+//! `qn_simd::math`).
 
 use qn_parallel::PAR_MIN_ELEMS;
 use qn_simd::KernelProfile;
@@ -172,8 +172,7 @@ fn banded_binary(dst: &mut [f32], a: &[f32], b: &[f32], kernel: fn(&mut [f32], &
     });
 }
 
-/// `dst[i] = a[i] + b[i]` — bit-identical in both profiles (`Fast`
-/// vectorizes, lane-wise IEEE-identical).
+/// `dst[i] = a[i] + b[i]` — bit-identical in both profiles.
 ///
 /// # Panics
 ///
@@ -181,10 +180,7 @@ fn banded_binary(dst: &mut [f32], a: &[f32], b: &[f32], kernel: fn(&mut [f32], &
 pub fn add_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "add_to length mismatch");
     assert_eq!(dst.len(), b.len(), "add_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => zip_to(dst, a, b, |x, y| x + y),
-        KernelProfile::Fast => banded_binary(dst, a, b, qn_simd::add_to),
-    }
+    banded_binary(dst, a, b, qn_simd::add_to);
 }
 
 /// `dst[i] = a[i] - b[i]` — bit-identical in both profiles.
@@ -195,10 +191,7 @@ pub fn add_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
 pub fn sub_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "sub_to length mismatch");
     assert_eq!(dst.len(), b.len(), "sub_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => zip_to(dst, a, b, |x, y| x - y),
-        KernelProfile::Fast => banded_binary(dst, a, b, qn_simd::sub_to),
-    }
+    banded_binary(dst, a, b, qn_simd::sub_to);
 }
 
 /// `dst[i] = a[i] * b[i]` — bit-identical in both profiles.
@@ -209,10 +202,7 @@ pub fn sub_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
 pub fn mul_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "mul_to length mismatch");
     assert_eq!(dst.len(), b.len(), "mul_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => zip_to(dst, a, b, |x, y| x * y),
-        KernelProfile::Fast => banded_binary(dst, a, b, qn_simd::mul_to),
-    }
+    banded_binary(dst, a, b, qn_simd::mul_to);
 }
 
 /// `dst[i] = src[i] * s` — bit-identical in both profiles.
@@ -222,10 +212,7 @@ pub fn mul_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
 /// Panics if the slices have different lengths.
 pub fn scale_to(dst: &mut [f32], src: &[f32], s: f32) {
     assert_eq!(dst.len(), src.len(), "scale_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| v * s),
-        KernelProfile::Fast => banded_unary_s(dst, src, s, qn_simd::scale_to),
-    }
+    banded_unary_s(dst, src, s, qn_simd::scale_to);
 }
 
 /// `dst[i] = src[i] + s` — bit-identical in both profiles.
@@ -235,10 +222,7 @@ pub fn scale_to(dst: &mut [f32], src: &[f32], s: f32) {
 /// Panics if the slices have different lengths.
 pub fn add_scalar_to(dst: &mut [f32], src: &[f32], s: f32) {
     assert_eq!(dst.len(), src.len(), "add_scalar_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| v + s),
-        KernelProfile::Fast => banded_unary_s(dst, src, s, qn_simd::add_scalar_to),
-    }
+    banded_unary_s(dst, src, s, qn_simd::add_scalar_to);
 }
 
 /// `dst[i] = src[i]²` — bit-identical in both profiles.
@@ -248,10 +232,7 @@ pub fn add_scalar_to(dst: &mut [f32], src: &[f32], s: f32) {
 /// Panics if the slices have different lengths.
 pub fn square_to(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "square_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| v * v),
-        KernelProfile::Fast => banded_unary(dst, src, qn_simd::square_to),
-    }
+    banded_unary(dst, src, qn_simd::square_to);
 }
 
 /// `dst[i] = max(src[i], 0)` — bit-identical in both profiles (the vector
@@ -262,10 +243,7 @@ pub fn square_to(dst: &mut [f32], src: &[f32]) {
 /// Panics if the slices have different lengths.
 pub fn relu_to(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "relu_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| v.max(0.0)),
-        KernelProfile::Fast => banded_unary(dst, src, qn_simd::relu_to),
-    }
+    banded_unary(dst, src, qn_simd::relu_to);
 }
 
 /// `dst[i] = 1 / (1 + e^(−src[i]))`. Under `Fast` this is the `qn-simd`

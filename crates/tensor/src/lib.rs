@@ -28,9 +28,9 @@
 //!   regions — results are **bit-identical at any thread count**, and
 //!   bit-identical to the seed naive kernels (retained in [`reference`](mod@reference) as
 //!   the executable specification).
-//! - **IEEE-754 exactness:** the zero-coefficient skip is
-//!   finiteness-guarded once, at the GEMM packing step, so `0 × NaN = NaN`
-//!   and `0 × ∞ = NaN` propagate instead of being silently swallowed.
+//! - **IEEE-754 exactness:** the GEMM never skips a zero coefficient, so
+//!   `0 × NaN = NaN` and `0 × ∞ = NaN` propagate instead of being silently
+//!   swallowed.
 //!
 //! # Storage: owned, pooled, and mapped buffers
 //!

@@ -18,42 +18,32 @@
 //!   loop. Large products are parallelized over disjoint output-row bands
 //!   on the `qn-parallel` pool.
 //!
-//! # Determinism
+//! # Determinism and kernel profiles
 //!
 //! The `k`-accumulation for every output element is **strictly sequential**
 //! (`p = 0, 1, …, k-1`), in the packed path, the small fallback path, and at
-//! any thread count. Together with the zero-skip analysis below this makes
-//! every product **bit-identical** to the seed triple-loop kernels (retained
-//! in [`reference`](mod@reference)) — the property suites in `crates/tensor/tests/`
-//! enforce the equality across shapes, transpose flags and thread counts.
+//! any thread count. The packed path runs one micro-kernel
+//! ([`run_band_g`]), generic over `qn_simd::arch::SimdF32` at the active
+//! `QN_SIMD` level, in which every lane computes one output element's
+//! sequential chain — there is **no reassociation**:
 //!
-//! # Kernel profiles
+//! - under the default `qn_simd::KernelProfile::Exact` each step rounds the
+//!   product and then the sum, the seed's `*o += a * b`, so every product
+//!   is **bit-identical** to the seed triple-loop kernels (retained in
+//!   [`reference`](mod@reference)) at every SIMD level — the property suites
+//!   in `crates/tensor/tests/` enforce the equality across shapes, transpose
+//!   flags, thread counts and levels;
+//! - under the opt-in `Fast` profile each step is one `mul_add`, which fuses
+//!   (one rounding instead of two) on ISAs with FMA. Results are ULP-bounded
+//!   against [`reference`](mod@reference)
+//!   (`crates/tensor/tests/gemm_fast_profile.rs`); at the SSE2 level, which
+//!   has no FMA, the two profiles run the same instructions.
 //!
-//! Under the default `qn_simd::KernelProfile::Exact` everything above holds
-//! unconditionally: the scalar micro-kernel runs unchanged at every
-//! `QN_SIMD` level. Under the opt-in `Fast` profile the packed path swaps
-//! in a vectorized micro-kernel ([`run_band_fast_g`]) built on
-//! `qn_simd::arch::SimdF32`: each lane still accumulates its output element
-//! strictly sequentially over `k` — there is **no reassociation** — so the
-//! only divergence from the exact kernel is FMA fusing (one rounding per
-//! multiply-add instead of two) on ISAs that fuse. Results are
-//! ULP-bounded against [`reference`](mod@reference)
-//! (`crates/tensor/tests/gemm_fast_profile.rs`), and the fallback path for
-//! small/skinny products stays exact under both profiles. The fast kernel
-//! drops the zero-skip machinery (and its `contains_zero` pre-scan):
-//! skipping exists to spare scalar MACs, which vector FMA makes free.
-//!
-//! # The finiteness-guarded zero skip
-//!
-//! A `0.0` coefficient in `A` may only skip its row of `B` when that row is
-//! entirely finite (`0 × NaN = NaN` and `0 × ∞ = NaN` must propagate —
-//! see the PR 3 regression suites). The guard lives in exactly one place:
-//! the B-packing step computes a per-`k`-row finiteness mask in the same
-//! pass that packs the panel, and the micro-kernel consults it before
-//! skipping an all-zero register block. Skipping is IEEE-754-exact: an
-//! accumulator chain that starts at `+0.0` can never reach `-0.0` (for
-//! finite `x`, `x + (-x) = +0.0` and `+0.0 + ±0.0 = +0.0`), so dropping
-//! `±0.0` products leaves every bit of the result unchanged.
+//! The fallback path for small/skinny products is exact under both
+//! profiles. No path skips zero coefficients of `A`, and none needs to:
+//! every accumulator starts at `+0.0` and round-to-nearest never turns
+//! `+0.0` into `-0.0`, so adding a `±0.0` product never changes a bit,
+//! while `0 × NaN` and `0 × ∞` propagate NaN as IEEE-754 requires.
 
 use crate::Tensor;
 #[cfg(target_arch = "x86_64")]
@@ -199,15 +189,6 @@ impl<'a> MatRef<'a> {
     pub fn is_contiguous(&self) -> bool {
         self.col_stride == 1 && self.row_stride == self.cols
     }
-
-    /// `true` if any viewed element is (positive or negative) zero — the
-    /// pre-scan deciding whether the zero-skip machinery is worth enabling.
-    fn contains_zero(&self) -> bool {
-        if self.is_contiguous() {
-            return self.data[..self.rows * self.cols].contains(&0.0);
-        }
-        (0..self.rows).any(|i| (0..self.cols).any(|j| self.at(i, j) == 0.0))
-    }
 }
 
 /// A mutable output-matrix view: `rows × cols` written row-major with an
@@ -285,7 +266,7 @@ impl<'a> MatMut<'a> {
 /// Thread-local scratch cache for the packing buffers.
 ///
 /// Each thread reuses its own small stack of buffers — the calling thread
-/// holds the packed-B panel and finiteness mask, and every pool worker
+/// holds the packed-B panel, and every pool worker
 /// takes its A-tile from its **own** cache inside the band task — so
 /// parallel products never contend on a lock, and a steady-state loop of
 /// same-shape products allocates nothing. Recycled buffers have
@@ -299,7 +280,6 @@ pub(crate) mod scratch {
 
     thread_local! {
         static F32S: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-        static BOOLS: RefCell<Vec<Vec<bool>>> = const { RefCell::new(Vec::new()) };
         static I8S: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
     }
 
@@ -322,31 +302,6 @@ pub(crate) mod scratch {
     /// Returns a buffer to this thread's cache (dropped when full).
     pub fn give_f32(buf: Vec<f32>) {
         F32S.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() < MAX_HELD && buf.capacity() > 0 {
-                cache.push(buf);
-            }
-        });
-    }
-
-    /// Takes a `len`-element mask buffer with unspecified contents.
-    pub fn take_bool(len: usize) -> Vec<bool> {
-        BOOLS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            match cache.iter().position(|b| b.capacity() >= len) {
-                Some(i) => {
-                    let mut buf = cache.swap_remove(i);
-                    buf.resize(len, false);
-                    buf
-                }
-                None => vec![false; len],
-            }
-        })
-    }
-
-    /// Returns a mask buffer to this thread's cache.
-    pub fn give_bool(buf: Vec<bool>) {
-        BOOLS.with(|cache| {
             let mut cache = cache.borrow_mut();
             if cache.len() < MAX_HELD && buf.capacity() > 0 {
                 cache.push(buf);
@@ -383,11 +338,8 @@ pub(crate) mod scratch {
 
 /// Right-hand side packed into `⌈n/NR⌉` column panels, each `k × NR`
 /// row-major (`data[panel · k·NR + p · NR + j]`), zero-padded past `n`.
-/// The optional `finite` mask — one flag per `k`-row of `B`, computed in the
-/// **same pass** as the packing — is the single home of the
-/// finiteness-guarded zero skip.
 ///
-/// Both buffers are drawn from — and returned to — the calling thread's
+/// The buffer is drawn from — and returned to — the calling thread's
 /// [`scratch`] cache, so a steady-state loop of same-shape products packs
 /// without touching the allocator and parallel workers never contend on a
 /// lock. Every element (padding included) is written explicitly, so
@@ -396,183 +348,70 @@ struct PackedB {
     data: Vec<f32>,
     n: usize,
     panels: usize,
-    finite: Option<Vec<bool>>,
 }
 
-impl PackedB {
-    /// Hands the scratch buffers back to this thread's cache.
-    fn recycle(self) {
-        scratch::give_f32(self.data);
-        if let Some(mask) = self.finite {
-            scratch::give_bool(mask);
-        }
-    }
-}
-
-fn pack_b(b: MatRef<'_>, with_mask: bool) -> PackedB {
+fn pack_b(b: MatRef<'_>) -> PackedB {
     let (k, n) = (b.rows, b.cols);
     let panels = n.div_ceil(NR);
     let mut data = scratch::take_f32(panels * k * NR);
-    let mut finite = if with_mask {
-        let mut f = scratch::take_bool(k);
-        f.fill(true);
-        f
-    } else {
-        Vec::new()
-    };
     for jp in 0..panels {
         let j0 = jp * NR;
         let nr = NR.min(n - j0);
         let pbase = jp * k * NR;
         for p in 0..k {
             let dst = &mut data[pbase + p * NR..pbase + (p + 1) * NR];
-            if with_mask {
-                let mut all_finite = true;
-                for (jj, d) in dst.iter_mut().take(nr).enumerate() {
-                    let v = b.at(p, j0 + jj);
-                    all_finite &= v.is_finite();
-                    *d = v;
-                }
-                if !all_finite {
-                    finite[p] = false;
-                }
-            } else {
-                // dense-A path: no mask wanted, skip the finiteness reduction
-                for (jj, d) in dst.iter_mut().take(nr).enumerate() {
-                    *d = b.at(p, j0 + jj);
-                }
+            for (jj, d) in dst.iter_mut().take(nr).enumerate() {
+                *d = b.at(p, j0 + jj);
             }
             // explicit zero padding past n: the buffer may be recycled
             dst[nr..].fill(0.0);
         }
     }
-    PackedB {
-        data,
-        n,
-        panels,
-        finite: if with_mask { Some(finite) } else { None },
-    }
-}
-
-/// The register-tiled heart: one `MR × NR` block of `C`, all of `k`.
-///
-/// `ap` is a packed A-tile (`k × MR`, column of the block contiguous per
-/// `p`), `bp` a packed B-panel (`k × NR`). Accumulation per output element
-/// is strictly sequential over `p`; with `SKIP` the finiteness-guarded
-/// zero-skip drops rank-1 updates whose `MR` coefficients are all zero and
-/// whose `B`-row is entirely finite (bit-exact either way, see module docs).
-#[inline(always)]
-fn microkernel<const SKIP: bool>(ap: &[f32], bp: &[f32], finite: &[bool]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (p, (ac, br)) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).enumerate() {
-        if SKIP && finite[p] && ac.iter().all(|&v| v == 0.0) {
-            continue;
-        }
-        for (accrow, &ai) in acc.iter_mut().zip(ac) {
-            for (o, &bv) in accrow.iter_mut().zip(br) {
-                *o += ai * bv;
-            }
-        }
-    }
-    acc
-}
-
-/// Which micro-kernel a [`gemm`] call drives, resolved **once** per call
-/// from `qn_simd::{KernelProfile, SimdLevel}` so every band of one product
-/// runs the same code path regardless of which pool worker executes it.
-#[derive(Clone, Copy)]
-enum Kernel {
-    /// The seed-bit-identical scalar micro-kernel (default profile).
-    Exact,
-    /// The vectorized FMA micro-kernel at the given dispatch level.
-    Fast(SimdLevel),
-}
-
-impl Kernel {
-    /// Resolves the kernel for this call from the active profile/level.
-    fn active() -> Kernel {
-        match KernelProfile::active() {
-            KernelProfile::Exact => Kernel::Exact,
-            KernelProfile::Fast => Kernel::Fast(SimdLevel::active()),
-        }
-    }
+    PackedB { data, n, panels }
 }
 
 /// Processes `band_rows` consecutive output rows starting at global row
-/// `first_row`, writing into `cband` (local offsets, `row_stride` apart).
-fn run_band(
+/// `first_row`, writing into `cband` (local offsets, `row_stride` apart),
+/// with the micro-kernel instantiated for `level`.
+fn run_band<const FUSE: bool>(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
     first_row: usize,
     a: MatRef<'_>,
     packed: &PackedB,
-    kernel: Kernel,
+    level: SimdLevel,
 ) {
     let k = a.cols;
     // A-tile scratch from this worker thread's cache; every element is
     // overwritten per block (incl. zero padding), so recycled contents
     // never leak.
     let mut atile = scratch::take_f32(k * MR);
-    match kernel {
-        Kernel::Exact => run_band_exact(
-            cband, row_stride, band_rows, first_row, a, packed, &mut atile,
-        ),
-        // SAFETY (both vector arms): `Kernel::Fast` carries
-        // `SimdLevel::active()`, which never exceeds the detected CPU
-        // features, so the `#[target_feature]` wrapper only runs on
-        // hardware that has its ISA.
+    match level {
+        // SAFETY (both vector arms): `gemm` passes `SimdLevel::active()`,
+        // which never exceeds the detected CPU features, so the
+        // `#[target_feature]` wrapper only runs on hardware that has its
+        // ISA.
         #[cfg(target_arch = "x86_64")]
-        Kernel::Fast(SimdLevel::Avx2) => unsafe {
-            run_band_fast_avx2(
+        SimdLevel::Avx2 => unsafe {
+            run_band_avx2::<FUSE>(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
         #[cfg(target_arch = "x86_64")]
-        Kernel::Fast(SimdLevel::Sse2) => unsafe {
-            run_band_fast_sse2(
+        SimdLevel::Sse2 => unsafe {
+            run_band_sse2::<FUSE>(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
         // SAFETY: scalar lanes are plain f32 arithmetic — sound everywhere.
-        Kernel::Fast(_) => unsafe {
-            run_band_fast_g::<ScalarF32>(
+        _ => unsafe {
+            run_band_g::<ScalarF32, FUSE>(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
     }
     scratch::give_f32(atile);
-}
-
-/// The exact-profile band loop (the seed-bit-identical path).
-fn run_band_exact(
-    cband: &mut [f32],
-    row_stride: usize,
-    band_rows: usize,
-    first_row: usize,
-    a: MatRef<'_>,
-    packed: &PackedB,
-    atile: &mut [f32],
-) {
-    let k = a.cols;
-    let finite = packed.finite.as_deref();
-    for ib in (0..band_rows).step_by(MR) {
-        let mr = MR.min(band_rows - ib);
-        pack_a_block(atile, a, first_row + ib, mr, k);
-        for jp in 0..packed.panels {
-            let j0 = jp * NR;
-            let nr = NR.min(packed.n - j0);
-            let bp = &packed.data[jp * k * NR..(jp + 1) * k * NR];
-            let acc = match finite {
-                Some(fin) => microkernel::<true>(atile, bp, fin),
-                None => microkernel::<false>(atile, bp, &[]),
-            };
-            for (ii, accrow) in acc.iter().enumerate().take(mr) {
-                let off = (ib + ii) * row_stride + j0;
-                cband[off..off + nr].copy_from_slice(&accrow[..nr]);
-            }
-        }
-    }
 }
 
 /// Packs one A block: `atile[p·MR + ii] = A[first + ii, p]`, zero-padded
@@ -606,23 +445,39 @@ fn pack_a_block(atile: &mut [f32], a: MatRef<'_>, first: usize, mr: usize, k: us
     }
 }
 
-/// The `Fast`-profile band loop, generic over the SIMD lane type.
+/// One accumulation step `acc + a·b`: a fused `mul_add` under `Fast`
+/// (`FUSE`), otherwise the rounded product then the rounded sum — the
+/// seed's `*o += a * b`.
+///
+/// # Safety
+///
+/// `S`'s instruction set must be available.
+#[inline(always)]
+unsafe fn madd<S: SimdF32, const FUSE: bool>(a: S, b: S, acc: S) -> S {
+    if FUSE {
+        a.mul_add(b, acc)
+    } else {
+        acc.add(a.mul(b))
+    }
+}
+
+/// The packed band loop, generic over the SIMD lane type and the profile.
 ///
 /// Panels are consumed **in pairs** where possible: with `MR = 4` rows ×
 /// 2 panels the kernel keeps `8·(NR/LANES)` independent accumulator
-/// chains live, enough instruction-level parallelism to keep both FMA
+/// chains live, enough instruction-level parallelism to keep both vector
 /// ports busy (a single `MR × NR` block has only 4 chains at AVX2 width —
-/// FMA latency then caps throughput at half peak). Each lane's
-/// `k`-accumulation is still strictly sequential, so the only divergence
-/// from [`run_band_exact`] is the fusing of `mul_add` itself.
+/// latency then caps throughput at half peak). Each lane's
+/// `k`-accumulation is strictly sequential, so the profiles differ only in
+/// [`madd`].
 ///
 /// # Safety
 ///
 /// `S`'s instruction set must be available; callers go through the
-/// `#[target_feature]` wrappers selected by [`Kernel`].
+/// `#[target_feature]` wrappers selected by [`run_band`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn run_band_fast_g<S: SimdF32>(
+unsafe fn run_band_g<S: SimdF32, const FUSE: bool>(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -656,8 +511,8 @@ unsafe fn run_band_fast_g<S: SimdF32>(
                 for i in 0..MR {
                     let av = S::splat(ac[i]);
                     for v in 0..nv {
-                        acc0[i][v] = av.mul_add(bv0[v], acc0[i][v]);
-                        acc1[i][v] = av.mul_add(bv1[v], acc1[i][v]);
+                        acc0[i][v] = madd::<S, FUSE>(av, bv0[v], acc0[i][v]);
+                        acc1[i][v] = madd::<S, FUSE>(av, bv1[v], acc1[i][v]);
                     }
                 }
             }
@@ -679,7 +534,7 @@ unsafe fn run_band_fast_g<S: SimdF32>(
                 for i in 0..MR {
                     let av = S::splat(ac[i]);
                     for v in 0..nv {
-                        acc[i][v] = av.mul_add(bv[v], acc[i][v]);
+                        acc[i][v] = madd::<S, FUSE>(av, bv[v], acc[i][v]);
                     }
                 }
             }
@@ -695,7 +550,7 @@ unsafe fn run_band_fast_g<S: SimdF32>(
 ///
 /// # Safety
 ///
-/// Same ISA contract as [`run_band_fast_g`] (it is only called from it).
+/// Same ISA contract as [`run_band_g`] (it is only called from it).
 #[inline(always)]
 unsafe fn store_acc_block<S: SimdF32>(
     acc: &[[S; NR]; MR],
@@ -726,7 +581,7 @@ unsafe fn store_acc_block<S: SimdF32>(
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_band_fast_avx2(
+unsafe fn run_band_avx2<const FUSE: bool>(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -735,13 +590,13 @@ unsafe fn run_band_fast_avx2(
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_fast_g::<Avx2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Avx2F32, FUSE>(cband, row_stride, band_rows, first_row, a, packed, atile)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "sse2")]
-unsafe fn run_band_fast_sse2(
+unsafe fn run_band_sse2<const FUSE: bool>(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -750,7 +605,7 @@ unsafe fn run_band_fast_sse2(
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_fast_g::<Sse2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Sse2F32, FUSE>(cband, row_stride, band_rows, first_row, a, packed, atile)
 }
 
 /// Fallback for products too small (or too skinny) to pack, parallelized
@@ -808,14 +663,14 @@ fn gemm_fallback(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
 /// Guarantees (see the module docs for the analysis):
 ///
 /// - under the default `Exact` profile, **bit-identical** results to the
-///   seed naive kernels ([`reference`](mod@reference)) at any thread count — per-element
-///   accumulation over `k` is strictly sequential and parallelism only ever
-///   splits disjoint output-row bands;
+///   seed naive kernels ([`reference`](mod@reference)) at any thread count
+///   and any SIMD level — per-element accumulation over `k` is strictly
+///   sequential, each lane rounds the product and then the sum, and
+///   parallelism only ever splits disjoint output-row bands;
 /// - under the opt-in `Fast` profile (`QN_KERNEL_PROFILE=fast`), the packed
-///   path runs the vectorized FMA micro-kernel — still sequential per
-///   output element, ULP-bounded against the reference (fusing only);
-/// - IEEE-754-exact non-finite propagation: the zero-coefficient skip is
-///   finiteness-guarded at the packing step (`0 × NaN = NaN` survives);
+///   path fuses each multiply-add — still sequential per output element,
+///   ULP-bounded against the reference (fusing only);
+/// - IEEE-754-exact non-finite propagation (`0 × NaN = NaN` survives);
 /// - `k == 0` zero-fills `C` (the empty sum).
 ///
 /// # Panics
@@ -832,13 +687,19 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     if m < MR || n < NR || m * n * k < PACK_MIN_MACS {
         return gemm_fallback(c, a, b);
     }
-    let kernel = Kernel::active();
-    // Enable the skip machinery only when A actually holds a zero (the scan
-    // reads A once; a dense A pays nothing beyond it). The fast kernel
-    // never skips, so it also skips the scan.
-    let with_mask = matches!(kernel, Kernel::Exact) && a.contains_zero();
-    let packed = pack_b(b, with_mask);
+    // Resolved once per call, so every band of one product runs the same
+    // code whichever pool worker executes it.
+    let fuse = KernelProfile::active() == KernelProfile::Fast;
+    let level = SimdLevel::active();
+    let packed = pack_b(b);
     let row_stride = c.row_stride;
+    let band = |cband: &mut [f32], band_rows: usize, first: usize| {
+        if fuse {
+            run_band::<true>(cband, row_stride, band_rows, first, a, &packed, level)
+        } else {
+            run_band::<false>(cband, row_stride, band_rows, first, a, &packed, level)
+        }
+    };
     let blocks = m.div_ceil(MR);
     let threads = qn_parallel::num_threads();
     let bands = threads.min(blocks);
@@ -846,22 +707,14 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     let cdata = &mut c.data[..len];
     if bands > 1 && m * n * k >= PAR_MIN_MACS {
         let rows_per_band = blocks.div_ceil(bands) * MR;
-        qn_parallel::par_chunks_mut(cdata, rows_per_band * row_stride, |bi, band| {
+        qn_parallel::par_chunks_mut(cdata, rows_per_band * row_stride, |bi, cband| {
             let first = bi * rows_per_band;
-            run_band(
-                band,
-                row_stride,
-                rows_per_band.min(m - first),
-                first,
-                a,
-                &packed,
-                kernel,
-            );
+            band(cband, rows_per_band.min(m - first), first);
         });
     } else {
-        run_band(cdata, row_stride, m, 0, a, &packed, kernel);
+        band(cdata, m, 0);
     }
-    packed.recycle();
+    scratch::give_f32(packed.data);
 }
 
 /// Runs `batches` independent products `out[i] ← a_of(i) · b_of(i)` (each
@@ -1064,7 +917,7 @@ mod tests {
     #[test]
     fn sparse_packed_path_matches_reference() {
         let mut rng = Rng::seed_from(12);
-        // Zero-heavy A engages the skip machinery on the packed path.
+        // Zero-heavy A: the ±0 products must leave every bit unchanged.
         let a = Tensor::randn(&[32, 24], &mut rng).map(|v| if v > 0.0 { 0.0 } else { v });
         let b = Tensor::randn(&[24, 16], &mut rng);
         assert!(a.matmul(&b).bit_identical(&reference::matmul(&a, &b)));

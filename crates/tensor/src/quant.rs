@@ -26,15 +26,6 @@
 //! unlike the f32 core, the int8 GEMM is **bit-identical across dispatch
 //! levels, kernel profiles, and thread counts** with no exact/fast split.
 //!
-//! # Zero-skip semantics
-//!
-//! The f32 core carries finiteness-guarded zero-skip machinery because
-//! `0.0 × NaN` must propagate. The integer domain has no NaN/∞ and a
-//! zero code contributes exactly `0` to the accumulator, so [`gemm_i8`]
-//! deliberately has **no skip path** — skipping could only save integer
-//! MACs that the widening multiply-add makes nearly free, and the result
-//! is unaffected either way.
-//!
 //! # Accumulator range
 //!
 //! `|a·b| ≤ 127² = 16129` per product, so the `i32` accumulator is safe
@@ -441,8 +432,7 @@ impl QTensor {
 /// rows). The epilogue is the fixed order `(acc as f32 · sa[i]) · sb[j]`.
 ///
 /// **Bit-identical** across dispatch levels, kernel profiles, and thread
-/// counts — integer accumulation is associative (see module docs). No
-/// zero-skip machinery, also per the module docs.
+/// counts — integer accumulation is associative (see module docs).
 ///
 /// # Panics
 ///

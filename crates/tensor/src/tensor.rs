@@ -635,9 +635,8 @@ impl Tensor {
     /// Matrix product `self @ other` of `[M, K] × [K, N]`.
     ///
     /// A thin wrapper over the shared [`gemm`](crate::gemm) core: results
-    /// are bit-identical at any thread count, with the finiteness-guarded
-    /// zero-coefficient skip (`0 × NaN = NaN` propagates — see the
-    /// [`mat`](crate::MatRef) module docs).
+    /// are bit-identical at any thread count, and `0 × NaN = NaN`
+    /// propagates (see the [`mat`](crate::MatRef) module docs).
     ///
     /// # Panics
     ///

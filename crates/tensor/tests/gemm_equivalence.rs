@@ -5,8 +5,8 @@
 //! - random shapes, including degenerate dims (`m`/`k`/`n` of zero),
 //! - every transpose-flag combination (stride-swapped views, incl. Aᵀ·Bᵀ,
 //!   which no seed kernel even offered),
-//! - zero-heavy A (engages the finiteness-guarded skip machinery) and
-//!   non-finite B rows (disables it),
+//! - zero-heavy A (`±0` products must leave every bit unchanged) and
+//!   non-finite B rows (`0 × NaN` must propagate),
 //! - sizes below and above both the packing and the parallel thresholds,
 //! - capped-to-one-thread vs. free thread count.
 
@@ -34,7 +34,7 @@ fn vals(numel: usize) -> impl Strategy<Value = Vec<f32>> {
 
 /// Builds a `rows × cols` tensor from the prefix of `data`, zeroing roughly
 /// `zero_pct`% of the entries (deterministically, via a multiplicative
-/// hash) so the zero-skip machinery gets exercised.
+/// hash) so `±0` products get exercised.
 fn build(data: &[f32], rows: usize, cols: usize, zero_pct: u32) -> Tensor {
     let v: Vec<f32> = data[..rows * cols]
         .iter()

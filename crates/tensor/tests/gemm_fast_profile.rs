@@ -1,14 +1,17 @@
-//! The `Fast` kernel profile's GEMM contract, exercised at every reachable
-//! dispatch level (own integration binary: `force_profile`/`force_level`
-//! are process-global, so these tests serialize on one mutex and restore
-//! state before releasing it).
+//! The GEMM's profile contract, exercised at every reachable dispatch
+//! level (own integration binary: `force_profile`/`force_level` are
+//! process-global, so these tests serialize on one mutex and restore state
+//! before releasing it). Both profiles run the same vector micro-kernel.
 //!
-//! - `Exact` (the default) must stay bit-identical to the seed kernels at
-//!   **any** forced SIMD level — the vector micro-kernel is never entered.
-//! - `Fast` diverges from `Exact` only by FMA fusing (per-lane k-chains
-//!   stay strictly sequential), so outputs stay within a tight relative
-//!   tolerance of the reference at every level, and at the scalar level
-//!   (where `mul_add` is the only change) the bound is tightest.
+//! - `Exact` (the default) runs vector code only where every lane computes
+//!   the seed's scalar expression — here an unfused multiply then add per
+//!   step of a sequential k-chain — so it must stay bit-identical to the
+//!   seed kernels at **any** forced SIMD level, zero-heavy and non-finite
+//!   operands included (NaN compared by NaN-ness).
+//! - `Fast` adds FMA fusing (and, in other kernels, reassociated
+//!   reductions and polynomial `exp`); the GEMM's per-lane k-chains stay
+//!   strictly sequential, so outputs stay within a tight relative
+//!   tolerance of the reference at every level.
 //! - Small/skinny products ride the strided fallback under both profiles
 //!   and must remain bit-exact even under `Fast`.
 //! - Row-band parallelism never changes bits within a profile.
@@ -31,8 +34,19 @@ fn with_profile_level<R>(
     r
 }
 
-/// ResNet-20 im2col-shaped product (`matmul_transb`) plus a plain square
-/// matmul, per closure.
+/// Causal attention probabilities `[t, t]`: row `i` attends to keys
+/// `0..=i`, so the upper triangle is zero.
+fn causal_probs(t: usize, rng: &mut Rng) -> Tensor {
+    let mut p = Tensor::rand_uniform(&[t, t], 0.0, 1.0, rng);
+    for (i, row) in p.data_mut().chunks_mut(t).enumerate() {
+        row[i + 1..].fill(0.0);
+    }
+    p
+}
+
+/// ResNet-20 im2col-shaped product (`matmul_transb`), a plain square
+/// matmul, a causal attention-probability product (`0 × finite` terms)
+/// and one whose B has a NaN row and an ∞ row (`0 × NaN`, `0 × ∞`).
 fn products(rng: &mut Rng) -> Vec<(Tensor, Tensor, bool)> {
     vec![
         // stage-2 im2col shape (crosses packing + parallel thresholds)
@@ -47,7 +61,29 @@ fn products(rng: &mut Rng) -> Vec<(Tensor, Tensor, bool)> {
             Tensor::randn(&[64, 64], rng),
             false,
         ),
+        // probabilities · values
+        (causal_probs(64, rng), Tensor::randn(&[64, 32], rng), false),
+        (
+            causal_probs(64, rng),
+            {
+                let mut b = Tensor::randn(&[64, 32], rng);
+                b.data_mut()[5 * 32..6 * 32].fill(f32::NAN);
+                b.data_mut()[40 * 32..41 * 32].fill(f32::INFINITY);
+                b
+            },
+            false,
+        ),
     ]
+}
+
+/// Bit-identical for every non-NaN value, positional NaN-for-NaN otherwise
+/// (NaN payloads and signs are outside the determinism contract).
+fn bit_identical_nan_aware(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
 fn run(a: &Tensor, b: &Tensor, transb: bool) -> Tensor {
@@ -76,7 +112,7 @@ fn exact_profile_is_bit_identical_at_every_level() {
             let got =
                 with_profile_level(qn_simd::KernelProfile::Exact, level, || run(&a, &b, transb));
             assert!(
-                got.bit_identical(&expect),
+                bit_identical_nan_aware(&got, &expect),
                 "Exact profile must not depend on the SIMD level ({level:?})"
             );
         }
@@ -93,8 +129,9 @@ fn fast_profile_stays_within_tolerance_at_every_level() {
             let got =
                 with_profile_level(qn_simd::KernelProfile::Fast, level, || run(&a, &b, transb));
             for (g, e) in got.data().iter().zip(expect.data()) {
+                let close = g == e || (g - e).abs() <= 1e-4 * (1.0 + e.abs());
                 assert!(
-                    (g - e).abs() <= 1e-4 * (1.0 + e.abs()),
+                    close || (g.is_nan() && e.is_nan()),
                     "Fast({level:?}) drifted beyond the tolerance tier: {g} vs {e}"
                 );
             }

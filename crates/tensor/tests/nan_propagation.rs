@@ -4,9 +4,9 @@
 //! product with structural zeros (ReLU outputs, zero-padded im2col rows).
 //!
 //! All three matmul variants now route through the shared packed GEMM core
-//! (`qn_tensor::gemm`), where the zero skip is finiteness-guarded once, at
-//! the B-packing step — IEEE-754-exact: these tests pin the propagation
-//! behaviour for all three entry points across that refactor.
+//! (`qn_tensor::gemm`), which never skips a zero coefficient —
+//! IEEE-754-exact: these tests pin the propagation behaviour for all three
+//! entry points.
 
 use qn_tensor::Tensor;
 
@@ -101,8 +101,8 @@ fn matmul_transb_mixed_zero_and_nan() {
 
 #[test]
 fn zero_width_rhs_with_zero_coefficients_yields_empty_product() {
-    // Regression: the finiteness mask must cover all K rows even when the
-    // RHS has zero columns (no data), instead of indexing out of bounds.
+    // Regression: zero coefficients over an RHS with zero columns (no
+    // data) must not index out of bounds.
     let a = t(&[0.0, 1.0], &[1, 2]);
     let b = Tensor::zeros(&[2, 0]);
     assert_eq!(a.matmul(&b).shape().dims(), &[1, 0]);
