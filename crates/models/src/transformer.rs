@@ -84,33 +84,47 @@ impl Mha {
         }
     }
 
-    /// `x_q: [B, Tq, D]`, `x_kv: [B, Tk, D]`, additive mask `[B·H, Tq, Tk]`.
-    fn forward(&self, g: &mut dyn Exec, x_q: Var, x_kv: Var, mask: Option<&Tensor>) -> Var {
-        let (b, tq, d) = {
-            let s = g.value(x_q).shape().dims().to_vec();
-            (s[0], s[1], s[2])
+    /// `[B, T, D]` → per-head `[B·H, T, dh]`.
+    fn split_heads(&self, g: &mut dyn Exec, x: Var) -> Var {
+        let (b, t) = {
+            let s = g.value(x).shape();
+            (s.dim(0), s.dim(1))
         };
-        let tk = g.value(x_kv).shape().dim(1);
-        let h = self.heads;
-        let dh = d / h;
-        let split = |g: &mut dyn Exec, x: Var, t: usize| -> Var {
-            let x4 = g.reshape(x, &[b, t, h, dh]);
-            let x4 = g.permute(x4, &[0, 2, 1, 3]); // [B, H, T, dh]
-            g.reshape(x4, &[b * h, t, dh])
-        };
+        let (h, dh) = (self.heads, self.d_model / self.heads);
+        let x4 = g.reshape(x, &[b, t, h, dh]);
+        let x4 = g.permute(x4, &[0, 2, 1, 3]); // [B, H, T, dh]
+        g.reshape(x4, &[b * h, t, dh])
+    }
+
+    /// Queries of `x_q: [B, Tq, D]`, split per head into `[B·H, Tq, dh]`.
+    /// Self-attention calls this before [`Mha::project_kv`] on the same
+    /// input: the tape sums that input's gradients in reverse creation
+    /// order, so the call order fixes the bits of every training step.
+    fn project_q(&self, g: &mut dyn Exec, x_q: Var) -> Var {
         let q = self.q.forward(g, x_q);
+        self.split_heads(g, q)
+    }
+
+    /// Keys and values of `x_kv: [B, Tk, D]`, each split per head into
+    /// `[B·H, Tk, dh]`.
+    fn project_kv(&self, g: &mut dyn Exec, x_kv: Var) -> (Var, Var) {
         let k = self.k.forward(g, x_kv);
         let v = self.v.forward(g, x_kv);
-        let q3 = split(g, q, tq);
-        let k3 = split(g, k, tk);
-        let v3 = split(g, v, tk);
+        (self.split_heads(g, k), self.split_heads(g, v))
+    }
+
+    /// Attends per-head queries `q3` to per-head keys and values under the
+    /// additive `mask: [B·H, Tq, Tk]`, then applies the output projection.
+    fn attend(&self, g: &mut dyn Exec, q3: Var, (k3, v3): (Var, Var), mask: Var) -> Var {
+        let (h, dh) = (self.heads, self.d_model / self.heads);
+        let (b, tq) = {
+            let s = g.value(q3).shape();
+            (s.dim(0) / h, s.dim(1))
+        };
         let kt = g.permute(k3, &[0, 2, 1]); // [B·H, dh, Tk]
         let scores = g.bmm(q3, kt);
-        let mut scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
-        if let Some(m) = mask {
-            let mv = g.leaf(m.clone());
-            scores = g.add(scores, mv);
-        }
+        let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
+        let scores = g.add(scores, mask);
         let attn = g.softmax_last(scores);
         let ctx = g.bmm(attn, v3); // [B·H, Tq, dh]
         let ctx = g.reshape(ctx, &[b, h, tq, dh]);
@@ -171,9 +185,11 @@ impl EncoderLayer {
         }
     }
 
-    fn forward(&self, g: &mut dyn Exec, x: Var, mask: Option<&Tensor>) -> Var {
+    fn forward(&self, g: &mut dyn Exec, x: Var, mask: Var) -> Var {
         let n = self.ln1.forward(g, x);
-        let a = self.attn.forward(g, n, n, mask);
+        let q = self.attn.project_q(g, n);
+        let kv = self.attn.project_kv(g, n);
+        let a = self.attn.attend(g, q, kv, mask);
         let a = g.dropout(a, self.dropout);
         let x = g.add(x, a);
         let n = self.ln2.forward(g, x);
@@ -213,26 +229,40 @@ impl DecoderLayer {
         }
     }
 
+    /// The layer over decoder rows `x: [B, T, D]`, which hold the newest
+    /// `T` positions. `past` is the self-attention K/V of the positions
+    /// before them (`None` when `x` starts at position 0) and `cross` the
+    /// cross-attention K/V of the encoder memory, both as
+    /// [`Mha::project_kv`] returns them. Returns the output rows and the
+    /// self-attention K/V of every position so far.
     fn forward(
         &self,
         g: &mut dyn Exec,
         x: Var,
-        memory: Var,
-        self_mask: Option<&Tensor>,
-        cross_mask: Option<&Tensor>,
-    ) -> Var {
+        past: Option<(Var, Var)>,
+        cross: (Var, Var),
+        self_mask: Var,
+        cross_mask: Var,
+    ) -> (Var, (Var, Var)) {
         let n = self.ln1.forward(g, x);
-        let a = self.self_attn.forward(g, n, n, self_mask);
+        let q = self.self_attn.project_q(g, n);
+        let (k, v) = self.self_attn.project_kv(g, n);
+        let kv = match past {
+            Some((pk, pv)) => (g.concat(&[pk, k], 1), g.concat(&[pv, v], 1)),
+            None => (k, v),
+        };
+        let a = self.self_attn.attend(g, q, kv, self_mask);
         let a = g.dropout(a, self.dropout);
         let x = g.add(x, a);
         let n = self.ln2.forward(g, x);
-        let c = self.cross_attn.forward(g, n, memory, cross_mask);
+        let q = self.cross_attn.project_q(g, n);
+        let c = self.cross_attn.attend(g, q, cross, cross_mask);
         let c = g.dropout(c, self.dropout);
         let x = g.add(x, c);
         let n = self.ln3.forward(g, x);
         let f = self.ffn.forward(g, n);
         let f = g.dropout(f, self.dropout);
-        g.add(x, f)
+        (g.add(x, f), kv)
     }
 
     fn visit_params(&self, vis: &mut dyn ParamVisitor) {
@@ -332,11 +362,20 @@ impl Transformer {
         qn_core::split_lambda_params(self.params())
     }
 
-    fn embed(&self, g: &mut dyn Exec, emb: &Embedding, batch: &[Vec<usize>], len: usize) -> Var {
+    /// Embeds positions `start..start + len` of every sequence in `batch`
+    /// (PAD past its end): scaled token embeddings plus the positional rows.
+    fn embed(
+        &self,
+        g: &mut dyn Exec,
+        emb: &Embedding,
+        batch: &[Vec<usize>],
+        start: usize,
+        len: usize,
+    ) -> Var {
         let b = batch.len();
         let mut flat = Vec::with_capacity(b * len);
         for seq in batch {
-            for t in 0..len {
+            for t in start..start + len {
                 flat.push(seq.get(t).copied().unwrap_or(PAD));
             }
         }
@@ -344,7 +383,7 @@ impl Transformer {
         let e = g.scale(e, (self.config.d_model as f32).sqrt());
         let e = g.reshape(e, &[b, len, self.config.d_model]);
         // add positional encoding (suffix broadcast over batch)
-        let pe = self.pe.slice_axis(0, 0, len);
+        let pe = self.pe.slice_axis(0, start, start + len);
         let pv = g.leaf(pe);
         g.add_bcast(e, pv)
     }
@@ -383,23 +422,29 @@ impl Transformer {
         m
     }
 
+    /// Encoder memory `[B, Ts, D]` of `src` padded to `ts` positions.
+    fn encode(&self, g: &mut dyn Exec, src: &[Vec<usize>], ts: usize) -> Var {
+        let mask = g.leaf(self.padding_mask(src, ts, ts));
+        let mut x = self.embed(g, &self.src_emb, src, 0, ts);
+        for l in &self.encoder {
+            x = l.forward(g, x, mask);
+        }
+        x
+    }
+
     /// Runs encoder + decoder, returning logits `[B, T_tgt, V]` for decoder
     /// inputs `tgt_in` (already BOS-prefixed and padded by the caller to a
     /// common length).
     pub fn forward(&self, g: &mut dyn Exec, src: &[Vec<usize>], tgt_in: &[Vec<usize>]) -> Var {
         let ts = src.iter().map(Vec::len).max().unwrap_or(1);
         let tt = tgt_in.iter().map(Vec::len).max().unwrap_or(1);
-        let src_mask = self.padding_mask(src, ts, ts);
-        let mut x = self.embed(g, &self.src_emb, src, ts);
-        for l in &self.encoder {
-            x = l.forward(g, x, Some(&src_mask));
-        }
-        let memory = x;
-        let self_mask = self.causal_mask(tgt_in, tt);
-        let cross_mask = self.padding_mask(src, tt, ts);
-        let mut y = self.embed(g, &self.tgt_emb, tgt_in, tt);
+        let memory = self.encode(g, src, ts);
+        let self_mask = g.leaf(self.causal_mask(tgt_in, tt));
+        let cross_mask = g.leaf(self.padding_mask(src, tt, ts));
+        let mut y = self.embed(g, &self.tgt_emb, tgt_in, 0, tt);
         for l in &self.decoder {
-            y = l.forward(g, y, memory, Some(&self_mask), Some(&cross_mask));
+            let cross = l.cross_attn.project_kv(g, memory);
+            y = l.forward(g, y, None, cross, self_mask, cross_mask).0;
         }
         let y = self.final_ln.forward(g, y);
         self.out_proj.forward(g, y) // [B, T, V]
@@ -441,56 +486,130 @@ impl Transformer {
     /// Greedy decoding of one source sentence (no BOS/EOS framing in the
     /// input); stops at EOS or `max_len` tokens.
     ///
-    /// Runs tape-free: each step evaluates the forward pass on a reused
-    /// [`EagerExec`] arena instead of recording an autograd tape.
+    /// Decodes incrementally on one reused [`EagerExec`] arena: the source
+    /// is encoded once, each decoder layer's cross-attention K/V are
+    /// projected from the encoder memory once, and each step runs the
+    /// decoder on the newest token alone against a cache of the earlier
+    /// positions' self-attention K/V. Under the default `Exact` kernel
+    /// profile the tokens are bit-identical to rerunning
+    /// [`Transformer::forward`] on the whole prefix at every step.
     ///
     /// # Panics
     ///
-    /// Panics if any source token id is outside the source vocabulary; use
-    /// [`Transformer::try_greedy_decode`] for ids from untrusted requests.
+    /// Panics if `src` is empty, if it is longer than `config().max_len`
+    /// or has a token id outside the source vocabulary, or if `max_len`
+    /// exceeds `config().max_len`; [`Transformer::try_greedy_decode`]
+    /// returns these as errors for input from untrusted requests.
     pub fn greedy_decode(&self, src: &[usize], max_len: usize) -> Vec<usize> {
-        let mut cx = EagerExec::new();
-        let mut out = Vec::new();
-        for _ in 0..max_len {
-            cx.reset();
-            let mut tgt_in = vec![BOS];
-            tgt_in.extend_from_slice(&out);
-            let logits = self.forward(&mut cx, &[src.to_vec()], &[tgt_in.clone()]);
-            let t = tgt_in.len();
-            let last = cx.value(logits).slice_axis(1, t - 1, t); // [1, 1, V]
-            let v = self.config.tgt_vocab;
-            let row = last.reshape(&[1, v]).expect("logit row");
-            let next = row.argmax_rows()[0];
-            if next == EOS {
-                break;
-            }
-            out.push(next);
-        }
-        out
+        self.try_greedy_decode(src, max_len)
+            .unwrap_or_else(|e| panic!("greedy_decode: {e}"))
     }
 
     /// Validating variant of [`Transformer::greedy_decode`] for serving:
-    /// rejects out-of-vocabulary source token ids instead of panicking.
+    /// rejects input it cannot decode instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::IndexOutOfRange`] for the first source id at
-    /// or beyond `src_vocab`.
+    /// - [`TensorError::EmptyInput`] if `src` is empty;
+    /// - [`TensorError::IndexOutOfRange`] with bound `config().max_len`
+    ///   if `src` or `max_len` would need a position past the positional
+    ///   table (the index is the last position needed);
+    /// - [`TensorError::IndexOutOfRange`] with bound `src_vocab` for the
+    ///   first source id at or beyond it.
     pub fn try_greedy_decode(
         &self,
         src: &[usize],
         max_len: usize,
     ) -> Result<Vec<usize>, TensorError> {
-        for &t in src {
-            if t >= self.config.src_vocab {
+        if src.is_empty() {
+            return Err(TensorError::EmptyInput { what: "source" });
+        }
+        let bound = self.config.max_len;
+        for len in [src.len(), max_len] {
+            if len > bound {
                 return Err(TensorError::IndexOutOfRange {
-                    index: t,
-                    bound: self.config.src_vocab,
+                    index: len - 1,
+                    bound,
                 });
             }
         }
-        Ok(self.greedy_decode(src, max_len))
+        if let Some(&t) = src.iter().find(|&&t| t >= self.config.src_vocab) {
+            return Err(TensorError::IndexOutOfRange {
+                index: t,
+                bound: self.config.src_vocab,
+            });
+        }
+        let mut cx = EagerExec::new();
+        let mut st = self.start_decode(&mut cx, src);
+        while st.prefix.len() <= max_len {
+            let logits = self.decode_step(&mut cx, &mut st);
+            let next = cx.value(logits).argmax_rows()[0];
+            if next == EOS {
+                break;
+            }
+            st.prefix.push(next);
+        }
+        Ok(st.prefix.split_off(1))
     }
+
+    /// Encodes `src` and projects every decoder layer's cross-attention K/V
+    /// from the memory, once per sentence.
+    fn start_decode(&self, cx: &mut EagerExec, src: &[usize]) -> DecodeState {
+        cx.reset();
+        let src = [src.to_vec()];
+        let ts = src[0].len();
+        let memory = self.encode(cx, &src, ts);
+        let cross = self
+            .decoder
+            .iter()
+            .map(|l| {
+                let (k, v) = l.cross_attn.project_kv(cx, memory);
+                (cx.take(k), cx.take(v))
+            })
+            .collect();
+        DecodeState {
+            prefix: vec![BOS],
+            cross_mask: self.padding_mask(&src, 1, ts),
+            cross,
+            past: vec![None; self.decoder.len()],
+        }
+    }
+
+    /// Runs the decoder on the newest token of `st.prefix` alone, at
+    /// position `prefix.len() - 1`, appends its self-attention K/V to
+    /// `st.past`, and returns its logits `[1, V]`.
+    fn decode_step(&self, cx: &mut EagerExec, st: &mut DecodeState) -> Var {
+        cx.reset();
+        let t = st.prefix.len();
+        let prefix = std::slice::from_ref(&st.prefix);
+        // the last row of `causal_mask(prefix, t)`: -1e9 at PAD keys only
+        let self_mask = cx.leaf(self.padding_mask(prefix, 1, t));
+        let cross_mask = cx.leaf_view(&st.cross_mask);
+        let mut y = self.embed(cx, &self.tgt_emb, prefix, t - 1, 1);
+        for ((l, (ck, cv)), past) in self.decoder.iter().zip(&st.cross).zip(&mut st.past) {
+            let cross = (cx.leaf_view(ck), cx.leaf_view(cv));
+            let prev = past.take().map(|(k, v)| (cx.leaf(k), cx.leaf(v)));
+            let (out, (k, v)) = l.forward(cx, y, prev, cross, self_mask, cross_mask);
+            *past = Some((cx.take(k), cx.take(v)));
+            y = out;
+        }
+        let y = self.final_ln.forward(cx, y);
+        let logits = self.out_proj.forward(cx, y);
+        cx.reshape(logits, &[1, self.config.tgt_vocab])
+    }
+}
+
+/// Per-sentence state of incremental greedy decoding.
+struct DecodeState {
+    /// `BOS` followed by the tokens decoded so far.
+    prefix: Vec<usize>,
+    /// Cross-attention key-padding row `[H, 1, Ts]`, the same every step.
+    cross_mask: Tensor,
+    /// Per decoder layer: cross-attention K/V of the encoder memory.
+    cross: Vec<(Tensor, Tensor)>,
+    /// Per decoder layer: self-attention K/V of every stepped position
+    /// (`None` before the first step).
+    past: Vec<Option<(Tensor, Tensor)>>,
 }
 
 /// Sinusoidal positional-encoding table `[max_len, d]`.
@@ -591,6 +710,112 @@ mod tests {
         let out = t.greedy_decode(&[3, 4, 5], 6);
         assert!(out.len() <= 6);
         assert!(out.iter().all(|&tok| tok < 32));
+    }
+
+    #[test]
+    fn try_greedy_decode_rejects_empty_source() {
+        let t = Transformer::new(tiny_config(Some(3)));
+        assert_eq!(
+            t.try_greedy_decode(&[], 4),
+            Err(TensorError::EmptyInput { what: "source" })
+        );
+    }
+
+    #[test]
+    fn try_greedy_decode_rejects_source_past_positional_table() {
+        let t = Transformer::new(tiny_config(Some(3)));
+        let src = vec![3; 17]; // max_len 16
+        assert_eq!(
+            t.try_greedy_decode(&src, 4),
+            Err(TensorError::IndexOutOfRange {
+                index: 16,
+                bound: 16
+            })
+        );
+        assert!(t.try_greedy_decode(&src[..16], 4).is_ok());
+    }
+
+    #[test]
+    fn try_greedy_decode_rejects_max_len_past_positional_table() {
+        let t = Transformer::new(tiny_config(Some(3)));
+        assert_eq!(
+            t.try_greedy_decode(&[3, 4, 5], 17),
+            Err(TensorError::IndexOutOfRange {
+                index: 16,
+                bound: 16
+            })
+        );
+        assert!(t.try_greedy_decode(&[3, 4, 5], 16).is_ok());
+    }
+
+    /// Random ids below `vocab`, `from + 1..=max_len` of them, with a PAD
+    /// at a random position at or after `from`.
+    fn ids_with_pad(rng: &mut Rng, max_len: usize, vocab: usize, from: usize) -> Vec<usize> {
+        let len = from + 1 + rng.below(max_len - from);
+        let mut ids: Vec<usize> = (0..len).map(|_| rng.below(vocab)).collect();
+        ids[from + rng.below(len - from)] = PAD;
+        ids
+    }
+
+    /// Every incremental decoder step, teacher-forced over a target with
+    /// PAD ids and a source with PAD ids, yields bit for bit the logits
+    /// row that `forward` computes for that position on the whole prefix
+    /// (the full recompute `greedy_decode` replaced), at 1 and N threads.
+    #[test]
+    fn decode_steps_match_forward_rows_bit_for_bit() {
+        let mut rng = Rng::seed_from(0xDEC0);
+        for case in 0..12 {
+            let d_model = [12, 24][rng.below(2)];
+            let config = TransformerConfig {
+                src_vocab: 11,
+                tgt_vocab: 13,
+                d_model,
+                heads: 1 + rng.below(4),
+                enc_layers: 1 + rng.below(2),
+                dec_layers: 1 + rng.below(2),
+                d_ff: 16,
+                quadratic_rank: (case % 2 == 1).then(|| [1, 2, 3, 5][rng.below(4)]),
+                max_len: 12,
+                dropout: 0.1,
+                seed: rng.below(1 << 30) as u64,
+            };
+            let model = Transformer::new(config);
+            let src = ids_with_pad(&mut rng, 12, 11, 0);
+            let mut tgt_in = ids_with_pad(&mut rng, 12, 13, 1);
+            tgt_in[0] = BOS;
+            let steps = || {
+                let mut cx = EagerExec::new();
+                let mut st = model.start_decode(&mut cx, &src);
+                let mut rows = Vec::new();
+                for &tok in &tgt_in[1..] {
+                    let logits = model.decode_step(&mut cx, &mut st);
+                    rows.push(cx.value(logits).clone());
+                    st.prefix.push(tok);
+                }
+                let logits = model.decode_step(&mut cx, &mut st);
+                rows.push(cx.value(logits).clone());
+                rows
+            };
+            let parallel = steps();
+            let sequential = qn_parallel::with_max_threads(1, steps);
+            for p in 0..tgt_in.len() {
+                let mut cx = EagerExec::new();
+                let y = model.forward(
+                    &mut cx,
+                    std::slice::from_ref(&src),
+                    &[tgt_in[..=p].to_vec()],
+                );
+                let want = cx.value(y).slice_axis(1, p, p + 1);
+                let want = want.reshape(&[1, config.tgt_vocab]).expect("logit row");
+                for (threads, got) in [("N", &parallel[p]), ("1", &sequential[p])] {
+                    assert!(
+                        got.bit_identical(&want),
+                        "case {case} ({config:?}) step {p} at {threads} threads: \
+                         {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
