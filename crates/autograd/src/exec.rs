@@ -209,13 +209,15 @@ pub trait Exec {
     //
     // Composite ops with a default decomposition into the primitives above.
     // The tape uses the defaults (so gradients flow through the recorded
-    // primitives); `EagerExec` overrides them with single-pass kernels that
+    // primitives); `EagerExec` overrides `quadratic_neurons`,
+    // `rows_to_nchw` and `elemwise_chain` with single-pass kernels that
     // skip the intermediate allocations. Both produce bitwise-identical
     // values.
 
     /// The quadratic energy `y₂[r, j] = Σᵢ λ[j, i] · f[r, j·k + i]²` of the
     /// paper's efficient neuron: `f` is `[rows, m·k]` (per-neuron feature
-    /// groups of width `k`), `lambda` is `[m, k]`; returns `[rows, m]`.
+    /// groups of width `k`), `lambda` is `[m, k]`; returns `[rows, m]`. A
+    /// step of [`quadratic_neurons`](Exec::quadratic_neurons)' default.
     fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
         let rows = self.value(f).shape().dim(0);
         let f3 = self.reshape(f, &[rows, neurons, k]);
@@ -226,13 +228,62 @@ pub trait Exec {
 
     /// Interleaves scalar outputs `y` (`[rows, m]`) with their feature
     /// groups `f` (`[rows, m·k]`) neuron-major into `[rows, m·(k+1)]`:
-    /// `[y₀, f₀…, y₁, f₁…, …]` — the paper's vectorized output layout.
+    /// `[y₀, f₀…, y₁, f₁…, …]` — the paper's vectorized output layout. A
+    /// step of [`quadratic_neurons`](Exec::quadratic_neurons)' default.
     fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
         let (rows, m) = self.value(y).dims2();
         let f3 = self.reshape(f, &[rows, m, k]);
         let y3 = self.reshape(y, &[rows, m, 1]);
         let out3 = self.concat(&[y3, f3], 2);
         self.reshape(out3, &[rows, m * (k + 1)])
+    }
+
+    /// A layer of `m` of the paper's efficient quadratic neurons of rank
+    /// `k` over `x` (`[rows, n]`): `q` is `[m·k, n]` (row `j·k + i` is the
+    /// i-th column of neuron j's `Qᵏ`), `lambda` `[m, k]`, `w` `[m, n]`,
+    /// `b` `[m]`. Neuron j computes `fⱼ = Qⱼx` and
+    /// `yⱼ = (wⱼ·x + bⱼ) + Σᵢ λⱼᵢ·fⱼᵢ²`. Returns `[rows, m·(k+1)]` in the
+    /// interleaved `[y₀, f₀…, y₁, f₁…, …]` layout when `vectorized`, else
+    /// `[rows, m]` holding `y` alone.
+    ///
+    /// The default runs two products (`x·Qᵀ`, `x·Wᵀ`) and the
+    /// [`weighted_square_sum`](Exec::weighted_square_sum), `add_bcast`,
+    /// `add` and [`interleave_last`](Exec::interleave_last) passes, so the
+    /// tape records every primitive. `EagerExec` stacks each neuron's rows
+    /// `[wⱼ; Qⱼ]` into one `[m·(k+1), n]` operand, so a single GEMM writes
+    /// `x·wⱼ` and `fⱼ` straight into the interleaved layout, and one row
+    /// pass then finishes each `yⱼ` in place.
+    ///
+    /// Under the default `Exact` profile both produce the same bits. Each
+    /// product element is a sequential dot over `n` starting from `+0.0`,
+    /// whichever operand holds its weight row and whichever GEMM path
+    /// (packed or fallback) runs it. The eager pass sums `fᵢ·fᵢ·λᵢ` from
+    /// `+0.0` in index order, like the default's `square`, `mul_bcast` and
+    /// `sum_axis`, and then forms `(x·w + b) + Σ` in the default's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches between `x`, `q`, `lambda`, `w` and `b`.
+    fn quadratic_neurons(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        vectorized: bool,
+    ) -> Var {
+        let (m, k) = self.value(lambda).dims2();
+        let f = self.matmul_transb(x, q); // [rows, m·k]
+        let y2 = self.weighted_square_sum(f, lambda, m, k); // [rows, m]
+        let xw = self.matmul_transb(x, w);
+        let y1 = self.add_bcast(xw, b);
+        let y = self.add(y1, y2);
+        if vectorized {
+            self.interleave_last(y, f, k)
+        } else {
+            y
+        }
     }
 
     /// Reinterprets patch-major rows `[B·OH·OW, C]` (the output of a dense
@@ -1170,64 +1221,68 @@ impl Exec for EagerExec {
         x
     }
 
-    fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
-        // single pass over f: same per-term expression and summation order as
-        // the default square → mul_bcast → sum_axis decomposition
+    fn quadratic_neurons(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        vectorized: bool,
+    ) -> Var {
+        let pool = Arc::clone(&self.pool);
         let (head, slot) = self.out_slot();
-        let fv = live_val(head, f);
-        let lv = live_val(head, lambda);
-        let (rows, mk) = fv.dims2();
-        assert_eq!(mk, neurons * k, "feature width {mk} != {neurons}·{k}");
-        assert_eq!(lv.numel(), neurons * k, "lambda size mismatch");
-        let fd = fv.data();
-        let ld = lv.data();
-        let out = refit_slot(slot, &[rows, neurons]);
+        let (xv, lv) = (live_val(head, x), live_val(head, lambda));
+        let ((rows, n), (m, k)) = (xv.dims2(), lv.dims2());
+        let (qd, wd) = (live_val(head, q).data(), live_val(head, w).data());
+        let (ld, bd) = (lv.data(), live_val(head, b).data());
+        assert_eq!(qd.len(), m * k * n, "q must be [{}, {n}]", m * k);
+        assert_eq!(wd.len(), m * n, "w must be [{m}, {n}]");
+        assert_eq!(bd.len(), m, "b must hold {m} biases");
+        let width = m * (k + 1);
+        // row j(k+1) of the stacked operand is wⱼ, the next k rows are
+        // neuron j's Q rows: the product's columns land interleaved
+        let mut stacked = BufferPool::take_ref(&pool, width * n);
+        for (j, dst) in stacked.chunks_mut((k + 1) * n).enumerate() {
+            dst[..n].copy_from_slice(&wd[j * n..(j + 1) * n]);
+            dst[n..].copy_from_slice(&qd[j * k * n..(j + 1) * k * n]);
+        }
+        let dims = if vectorized { [rows, width] } else { [rows, m] };
+        let out = refit_slot(slot, &dims);
+        // the scalar-output form multiplies into scratch, then compacts
+        let mut scratch = (!vectorized).then(|| BufferPool::take_ref(&pool, rows * width));
+        let c: &mut [f32] = match scratch.as_deref_mut() {
+            Some(s) => s,
+            None => out.data_mut(),
+        };
+        gemm(
+            MatMut::new(c, rows, width),
+            xv.mat(),
+            MatRef::new(&stacked, width, n).transpose(),
+        );
         let fast = qn_simd::KernelProfile::active() == qn_simd::KernelProfile::Fast;
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            neurons.max(1),
-            PAR_MIN_ELEMS,
-            |r, orow| {
+        qn_parallel::par_chunks_mut_min(c, width, PAR_MIN_ELEMS, |_, row| {
+            for (j, group) in row.chunks_mut(k + 1).enumerate() {
+                let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
+                let lam = &ld[j * k..(j + 1) * k];
+                let mut energy = [0.0f32];
                 if fast {
-                    qn_simd::weighted_square_row(orow, &fd[r * mk..(r + 1) * mk], ld, k);
-                    return;
-                }
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let base = r * mk + j * k;
-                    let mut acc = 0.0f32;
-                    for i in 0..k {
-                        let x = fd[base + i];
-                        acc += x * x * ld[j * k + i];
+                    qn_simd::weighted_square_row(&mut energy, f, lam, k);
+                } else {
+                    for (&fi, &li) in f.iter().zip(lam) {
+                        energy[0] += fi * fi * li;
                     }
-                    *o = acc;
                 }
-            },
-        );
-        self.commit()
-    }
-
-    fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
-        let (head, slot) = self.out_slot();
-        let yv = live_val(head, y);
-        let fv = live_val(head, f);
-        let (rows, m) = yv.dims2();
-        assert_eq!(fv.numel(), rows * m * k, "feature size mismatch");
-        let yd = yv.data();
-        let fd = fv.data();
-        let out = refit_slot(slot, &[rows, m * (k + 1)]);
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            (m * (k + 1)).max(1),
-            PAR_MIN_ELEMS,
-            |r, orow| {
-                for j in 0..m {
-                    let dst = j * (k + 1);
-                    orow[dst] = yd[r * m + j];
-                    orow[dst + 1..dst + 1 + k]
-                        .copy_from_slice(&fd[r * m * k + j * k..r * m * k + (j + 1) * k]);
+                *y = (*y + bd[j]) + energy[0];
+            }
+        });
+        if let Some(s) = &scratch {
+            for (orow, row) in out.data_mut().chunks_mut(m).zip(s.chunks(width)) {
+                for (o, group) in orow.iter_mut().zip(row.chunks(k + 1)) {
+                    *o = group[0];
                 }
-            },
-        );
+            }
+        }
         self.commit()
     }
 

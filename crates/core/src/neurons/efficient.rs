@@ -181,21 +181,21 @@ impl EfficientQuadraticLinear {
         }
         out
     }
+}
 
-    /// Splits the forward computation so subclasses of behaviour (scalar vs
-    /// vectorized) share the quadratic evaluation. Returns `(y, f)` with
-    /// `f` kept flat as `[B, m·k]`.
-    fn forward_parts(&self, g: &mut dyn Exec, x: Var) -> (Var, Var) {
-        let q = g.param(&self.q);
-        let f = g.matmul_transb(x, q); // [B, m*k]
-        let lam = g.param(&self.lambda);
-        let y2 = g.weighted_square_sum(f, lam, self.m, self.k); // [B, m]
-        let w = g.param(&self.w);
-        let xw = g.matmul_transb(x, w);
-        let b = g.param(&self.b);
-        let y1 = g.add_bcast(xw, b);
-        let y = g.add(y1, y2);
-        (y, f)
+/// Modeled cost of `m` neurons of rank `k` over `n` inputs on an input of
+/// shape `[…, n]`: the paper's `(k+1)n + 2k` MACs per neuron and row, with
+/// leading dims flattened like `Linear::costs`; the output is `[…, out]`.
+pub(super) fn layer_costs(input: &[usize], n: usize, m: usize, k: usize, out: usize) -> Costs {
+    let lead: usize = input[..input.len() - 1].iter().product();
+    let per_neuron = NeuronFamily::EfficientQuadratic
+        .complexity(n as u64, k as u64)
+        .macs;
+    let mut output = input.to_vec();
+    *output.last_mut().expect("non-empty") = out;
+    Costs {
+        macs: lead as u64 * m as u64 * per_neuron,
+        output,
     }
 }
 
@@ -227,13 +227,13 @@ impl Module for EfficientQuadraticLinear {
         );
         let lead: usize = dims[..nd - 1].iter().product();
         let x = g.reshape(x, &[lead, self.n]);
-        let (y, f) = self.forward_parts(g, x);
+        let q = g.param(&self.q);
+        let lambda = g.param(&self.lambda);
+        let w = g.param(&self.w);
+        let b = g.param(&self.b);
+        let y = g.quadratic_neurons(x, q, lambda, w, b, self.vectorized);
         dims[nd - 1] = self.out_features();
-        if !self.vectorized {
-            return g.reshape(y, &dims[..nd]);
-        }
-        let out = g.interleave_last(y, f, self.k); // [lead, m*(k+1)]
-        g.reshape(out, &dims[..nd])
+        g.reshape(y, &dims[..nd])
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
@@ -244,15 +244,7 @@ impl Module for EfficientQuadraticLinear {
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 2, "dense layer expects [B, n]");
-        let batch = input[0] as u64;
-        let per_neuron = NeuronFamily::EfficientQuadratic
-            .complexity(self.n as u64, self.k as u64)
-            .macs;
-        Costs {
-            macs: batch * self.m as u64 * per_neuron,
-            output: vec![input[0], self.out_features()],
-        }
+        layer_costs(input, self.n, self.m, self.k, self.out_features())
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
@@ -430,6 +422,25 @@ mod tests {
         assert_eq!(c.output, vec![b, m * (k + 1)]);
         // params: (k+1)n + k per neuron, plus m biases (excluded by paper)
         assert_eq!(layer.param_count(), m * ((k + 1) * n + k) + m);
+    }
+
+    #[test]
+    fn costs_flatten_leading_dims() {
+        let mut rng = Rng::seed_from(9);
+        let (n, m, k, b, t) = (12usize, 4usize, 3usize, 2usize, 5usize);
+        let layer = EfficientQuadraticLinear::new(n, m, k, &mut rng);
+        let c = layer.costs(&[b, t, n]);
+        assert_eq!(c.macs, (b * t * m * ((k + 1) * n + 2 * k)) as u64);
+        assert_eq!(c.output, vec![b, t, m * (k + 1)]);
+        let mut g = Graph::new();
+        let xv = g.leaf(Tensor::randn(&[b, t, n], &mut rng));
+        let y = layer.forward(&mut g, xv);
+        assert_eq!(g.value(y).shape().dims(), &c.output[..]);
+        let q = layer.quantized().expect("quadratic layer quantizes");
+        assert_eq!(q.costs(&[b, t, n]).macs, c.macs);
+        assert_eq!(q.costs(&[b, t, n]).output, c.output);
+        let scalar = EfficientQuadraticLinear::new_scalar_output(n, m, k, &mut rng);
+        assert_eq!(scalar.costs(&[b, t, n]).output, vec![b, t, m]);
     }
 
     #[test]

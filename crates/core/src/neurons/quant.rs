@@ -1,15 +1,14 @@
 //! Int8 twins of the quadratic-neuron layers.
 //!
 //! [`QuantizedQuadratic`] is the inference-only form of
-//! [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear): the two
-//! big products `f = x(Qᵏ)ᵀ` and `xWᵀ` run through
-//! [`qn_tensor::gemm_i8`] against per-output-channel int8 weights, sharing
-//! **one** activation quantization of `x` — the quadratic neuron's extra
-//! product costs no extra quantization pass. The cheap per-neuron tail
-//! (`Σᵢ λᵢ fᵢ² + b`, and the vectorized interleave of §III-B) stays in
-//! f32: `Λᵏ` is trained at tiny learning rates and its dynamic range is
-//! what the paper's stability lemma bounds, so it is the one place 8-bit
-//! rounding would bite.
+//! [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear): each
+//! neuron's rows `[wⱼ; Qⱼ]` are stacked into one per-row int8 operand, so
+//! a single [`qn_tensor::gemm_i8`] over **one** activation quantization
+//! of `x` writes `x·wⱼ` and `fᵏ = (Qᵏ)ᵀx` straight into the vectorized
+//! output layout of §III-B. The cheap per-neuron tail
+//! (`Σᵢ λᵢ fᵢ² + b`) stays in f32: `Λᵏ` is trained at tiny learning rates
+//! and its dynamic range is what the paper's stability lemma bounds, so
+//! it is the one place 8-bit rounding would bite.
 //!
 //! [`QuantizedPatchConv`] redeploys any quantized dense layer as a
 //! convolution by im2col lowering, exactly like
@@ -24,17 +23,14 @@ use qn_nn::{Costs, Module, ParamVisitor};
 use qn_tensor::{gemm_i8, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K};
 use std::sync::RwLock;
 
-use crate::complexity::NeuronFamily;
-
 /// Inference-only int8 form of the paper's efficient quadratic neuron
 /// layer. Build via [`Module::quantized`] on
 /// [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear) or
 /// directly with [`QuantizedQuadratic::from_factors`].
 pub struct QuantizedQuadratic {
-    /// `[m·k, n]` int8: stacked `(Qᵏ)ᵀ` rows, per-row scales.
-    q: QTensor,
-    /// `[m, n]` int8 linear weights, per-row scales.
-    w: QTensor,
+    /// `[m·(k+1), n]` int8, per-row scales: row `j·(k+1)` is neuron j's
+    /// `wⱼ`, the next `k` rows its `(Qᵏ)ᵀ` rows.
+    wq: QTensor,
     /// `[m, k]` f32 eigenvalues (kept full precision, see module docs).
     lambda: Tensor,
     /// `[m]` f32 bias.
@@ -68,9 +64,14 @@ impl QuantizedQuadratic {
         assert_eq!(w.dims2(), (m, n), "w shape mismatch");
         assert_eq!(b.numel(), m, "b length mismatch");
         assert!(n <= GEMM_I8_MAX_K, "input width {n} exceeds GEMM_I8_MAX_K");
+        // quantization is per row, so stacking first changes no code or scale
+        let mut stacked = Vec::with_capacity(m * (k + 1) * n);
+        for j in 0..m {
+            stacked.extend_from_slice(&w.data()[j * n..(j + 1) * n]);
+            stacked.extend_from_slice(&q.data()[j * k * n..(j + 1) * k * n]);
+        }
         QuantizedQuadratic {
-            q: QTensor::quantize(q),
-            w: QTensor::quantize(w),
+            wq: QTensor::quantize_rows(&stacked, m * (k + 1), n),
             lambda: lambda.clone(),
             b: b.clone(),
             n,
@@ -95,53 +96,45 @@ impl QuantizedQuadratic {
         }
     }
 
-    /// Total int8 + scale bytes of both weight matrices (the f32 original
-    /// stores `(m·k + m)·n` floats).
+    /// Total int8 + scale bytes of the `Qᵏ` and `w` rows (the f32
+    /// original stores `(m·k + m)·n` floats).
     pub fn weight_bytes(&self) -> usize {
-        self.q.weight_bytes() + self.w.weight_bytes()
+        self.wq.weight_bytes()
     }
 
     /// `[lead, n] -> [lead, out]` forward on raw data, off-tape.
     fn apply(&self, xd: &[f32], lead: usize) -> Vec<f32> {
         let (m, k, n) = (self.m, self.k, self.n);
+        let width = m * (k + 1);
         let (codes, sa) = quantize_acts(&self.act_stats, xd, lead, n);
-        let a = MatRefI8::new(&codes, lead, n);
-        // one quantization of x feeds both products
-        let mut f = vec![0.0f32; lead * m * k];
-        gemm_i8(
-            MatMut::new(&mut f, lead, m * k),
-            a,
-            self.q.mat().transpose(),
-            &sa,
-            self.q.scales(),
-        );
-        let mut y1 = vec![0.0f32; lead * m];
-        gemm_i8(
-            MatMut::new(&mut y1, lead, m),
-            a,
-            self.w.mat().transpose(),
-            &sa,
-            self.w.scales(),
-        );
-        let width = self.out_features();
-        let (lam, bias) = (self.lambda.data(), self.b.data());
         let mut out = vec![0.0f32; lead * width];
-        for bi in 0..lead {
-            let frow = &f[bi * m * k..(bi + 1) * m * k];
-            let orow = &mut out[bi * width..(bi + 1) * width];
-            for j in 0..m {
-                let fj = &frow[j * k..(j + 1) * k];
-                let mut y = y1[bi * m + j] + bias[j];
-                for i in 0..k {
-                    y += lam[j * k + i] * fj[i] * fj[i];
+        gemm_i8(
+            MatMut::new(&mut out, lead, width),
+            MatRefI8::new(&codes, lead, n),
+            self.wq.mat().transpose(),
+            &sa,
+            self.wq.scales(),
+        );
+        let (lam, bias) = (self.lambda.data(), self.b.data());
+        for row in out.chunks_mut(width) {
+            for (j, group) in row.chunks_mut(k + 1).enumerate() {
+                let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
+                let mut acc = *y + bias[j];
+                for (&fi, &li) in f.iter().zip(&lam[j * k..(j + 1) * k]) {
+                    acc += li * fi * fi;
                 }
-                if self.vectorized {
-                    orow[j * (k + 1)] = y;
-                    orow[j * (k + 1) + 1..(j + 1) * (k + 1)].copy_from_slice(fj);
-                } else {
-                    orow[j] = y;
+                *y = acc;
+            }
+        }
+        if !self.vectorized {
+            // compact the y columns in place: row r's y lands before any
+            // entry a later step still reads
+            for r in 0..lead {
+                for j in 0..m {
+                    out[r * m + j] = out[r * width + j * (k + 1)];
                 }
             }
+            out.truncate(lead * m);
         }
         out
     }
@@ -173,15 +166,7 @@ impl Module for QuantizedQuadratic {
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 2, "dense layer expects [B, n]");
-        let batch = input[0] as u64;
-        let per_neuron = NeuronFamily::EfficientQuadratic
-            .complexity(self.n as u64, self.k as u64)
-            .macs;
-        Costs {
-            macs: batch * self.m as u64 * per_neuron,
-            output: vec![input[0], self.out_features()],
-        }
+        super::efficient::layer_costs(input, self.n, self.m, self.k, self.out_features())
     }
 
     fn weight_dtype(&self) -> &'static str {
@@ -190,8 +175,7 @@ impl Module for QuantizedQuadratic {
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
         Some(Box::new(QuantizedQuadratic {
-            q: self.q.clone(),
-            w: self.w.clone(),
+            wq: self.wq.clone(),
             lambda: self.lambda.clone(),
             b: self.b.clone(),
             n: self.n,
@@ -352,6 +336,29 @@ mod tests {
         let q = layer.quantized().unwrap();
         assert_eq!(layer.costs(&[7, 10]).macs, q.costs(&[7, 10]).macs);
         assert_eq!(layer.costs(&[7, 10]).output, q.costs(&[7, 10]).output);
+    }
+
+    #[test]
+    fn stacked_rows_keep_per_matrix_codes_and_scales() {
+        let mut rng = Rng::seed_from(6);
+        let (n, m, k) = (20, 3, 4);
+        let layer = EfficientQuadraticLinear::new(n, m, k, &mut rng);
+        let p = layer.params();
+        let (q, w) = (p[0].value(), p[2].value());
+        let s = QuantizedQuadratic::from_factors(&q, &p[1].value(), &w, &p[3].value(), true);
+        let (qq, qw) = (QTensor::quantize(&q), QTensor::quantize(&w));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for j in 0..m {
+            let (rows, scales) = (
+                &s.wq.data()[j * (k + 1) * n..(j + 1) * (k + 1) * n],
+                &s.wq.scales()[j * (k + 1)..(j + 1) * (k + 1)],
+            );
+            assert_eq!(&rows[..n], &qw.data()[j * n..(j + 1) * n]);
+            assert_eq!(&rows[n..], &qq.data()[j * k * n..(j + 1) * k * n]);
+            assert_eq!(scales[0].to_bits(), qw.scales()[j].to_bits());
+            assert_eq!(bits(&scales[1..]), bits(&qq.scales()[j * k..(j + 1) * k]));
+        }
+        assert_eq!(s.weight_bytes(), qq.weight_bytes() + qw.weight_bytes());
     }
 
     #[test]

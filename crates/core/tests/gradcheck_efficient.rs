@@ -15,9 +15,9 @@ const K: usize = 2; // rank
 
 /// The layer's forward pass written over explicit factor vars
 /// (`vars = [q, lambda, w, b]`) so `gradcheck` can differentiate with
-/// respect to each factor. Mirrors
-/// `EfficientQuadraticLinear::forward_parts`; `factors_forward_matches_layer`
-/// below pins it to the real layer.
+/// respect to each factor. Mirrors the default decomposition of
+/// `Exec::quadratic_neurons`; `factors_forward_matches_layer` below pins
+/// it to the real layer.
 fn forward_from_factors(g: &mut Graph, x: &Tensor, vars: &[Var]) -> Var {
     let (q, lam, w, b) = (vars[0], vars[1], vars[2], vars[3]);
     let xv = g.leaf(x.clone());
