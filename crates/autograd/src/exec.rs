@@ -475,8 +475,10 @@ impl Exec for Graph {
 ///   not drop the computed tensors; it rewinds a cursor. The next pass
 ///   refits each slot's buffer in place, so a steady-state serving loop
 ///   that repeats the same op sequence (the common case: one model, one
-///   request shape) performs **zero heap allocations** — the `alloc` bench
-///   in `qn-bench` proves this with a counting allocator.
+///   request shape) on one worker thread performs **zero heap
+///   allocations** — `crates/bench/tests/contracts.rs` checks this with a
+///   counting allocator. With more threads, each parallel region boxes
+///   its tasks.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the
 ///   im2col patch matrix inside the fused `conv2d`, per-channel `1/σ`
 ///   vectors in batch norm) is drawn from — and returned to — the arena's

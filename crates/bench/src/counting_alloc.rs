@@ -11,8 +11,9 @@
 //!
 //! then bracket the region of interest with [`snapshot`] and read the
 //! delta. Counters are process-global atomics, so measurements are only
-//! attributable when the measured region runs single-threaded (the `alloc`
-//! bench pins the worker pool to one thread for its assertion).
+//! attributable when the measured region runs single-threaded
+//! (`tests/contracts.rs` runs without the libtest harness and pins the
+//! worker pool to one thread).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

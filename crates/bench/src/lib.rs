@@ -1,24 +1,6 @@
-//! Shared helpers for the qn-bench benchmark binaries.
-
-use std::time::Instant;
+//! The counting global allocator behind the workspace's allocation
+//! contracts: `qnbench` installs it to report allocations per `predict`,
+//! and `tests/contracts.rs` installs it to enforce allocation-free
+//! steady-state inference and zero-copy mapped loading.
 
 pub mod counting_alloc;
-
-/// Mean seconds per call of `f` over `samples` timed runs (one warmup).
-///
-/// The single timing helper behind every `BENCH_*.json` artifact, so the
-/// recorded numbers stay methodologically comparable across benches.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`: a zero-sample mean would silently record
-/// `inf` GFLOP/s into a `BENCH_*.json` artifact.
-pub fn time_mean(samples: usize, mut f: impl FnMut()) -> f64 {
-    assert!(samples > 0, "time_mean needs at least one timed sample");
-    f();
-    let start = Instant::now();
-    for _ in 0..samples {
-        f();
-    }
-    start.elapsed().as_secs_f64() / samples as f64
-}

@@ -638,8 +638,7 @@ pub fn evaluate_classifier(
 
 /// [`evaluate_classifier`] over a caller-built session — this is how the
 /// int8 tier is scored: build the session with
-/// [`InferenceSession::quantized`] and compare against the f32 number
-/// (`BENCH_quant.json` records the drift).
+/// [`InferenceSession::quantized`] and compare against the f32 number.
 pub fn evaluate_classifier_session(
     session: &mut InferenceSession<'_>,
     images: &Tensor,

@@ -122,8 +122,9 @@ pub struct InferenceSession<'m> {
     /// Session-owned buffer pool: outputs are materialized from it (hand
     /// them back with [`InferenceSession::recycle`]) and the arena draws
     /// its kernel scratch from it. With a warm pool and a caller that
-    /// recycles, steady-state `predict` performs **zero** heap allocations
-    /// (proved by the counting-allocator `alloc` bench in `qn-bench`).
+    /// recycles, steady-state f32 `predict` on one worker thread performs
+    /// **zero** heap allocations (checked with a counting allocator by
+    /// `crates/bench/tests/contracts.rs`).
     pool: Arc<BufferPool>,
     /// Per-worker arenas for sharded batches, grown on demand and reused
     /// across calls (index `w` always serves shard `w`, so each arena's

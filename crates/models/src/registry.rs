@@ -24,14 +24,17 @@
 //!   `Arc` for a slot, never a torn state; the generation counter bumps in
 //!   the same critical section, so `generation() == g` implies a subsequent
 //!   `get()` returns the model of generation ≥ `g`.
-//! - **`retire` never stops in-flight work.** It removes the slot from the
-//!   map; sessions (and any caller of `get`) that already hold the `Arc`
-//!   keep serving it, and the model is dropped when its last handle drops.
-//!   A retired name simply stops resolving for *new* sessions.
+//! - **`retire` never stops in-flight work.** It drops the slot's model;
+//!   sessions (and any caller of `get`) that already hold the `Arc` keep
+//!   serving it, and the model is dropped when its last handle drops. A
+//!   retired name simply stops resolving for *new* sessions.
+//! - **A generation is never reused for a name.** A retired slot keeps its
+//!   counter, so publishing under the name again continues from it, and a
+//!   session on the retired model still sees a newer generation.
 //! - **Publishing must not block serving.** Build and load the new model
 //!   *before* calling `publish` (the write lock is then held only for a
-//!   pointer swap — sub-microsecond, measured in `BENCH_load.json`).
-//!   Never construct models inside a closure that holds registry state.
+//!   pointer swap). Never construct models inside a closure that holds
+//!   registry state.
 //! - **Read-side introspection is lock-light.** [`names`],
 //!   [`generation`](ModelRegistry::generation), [`info`] and [`snapshot`]
 //!   clone the `Arc`s under the read lock and do any expensive work
@@ -70,9 +73,10 @@ use qn_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-/// A published model plus its generation.
+/// A published model plus its generation. A retired slot keeps its
+/// generation and drops only its model.
 struct Slot {
-    model: Arc<dyn Module>,
+    model: Option<Arc<dyn Module>>,
     generation: u64,
 }
 
@@ -91,53 +95,54 @@ impl ModelRegistry {
     }
 
     /// Publishes `model` under `name`, replacing any previous model in one
-    /// atomic swap, and returns the slot's new generation (1 for a fresh
-    /// slot). In-flight sessions keep serving the model they hold; new and
-    /// refreshed sessions see this one.
+    /// atomic swap, and returns the slot's new generation (1 for a name
+    /// never published before; a retired name continues from its last
+    /// generation). In-flight sessions keep serving the model they hold;
+    /// new and refreshed sessions see this one.
     pub fn publish(&self, name: &str, model: Arc<dyn Module>) -> u64 {
         let mut slots = self.slots.write().expect("registry lock poisoned");
-        match slots.get_mut(name) {
-            Some(slot) => {
-                slot.generation += 1;
-                slot.model = model;
-                slot.generation
-            }
-            None => {
-                slots.insert(
-                    name.to_string(),
-                    Slot {
-                        model,
-                        generation: 1,
-                    },
-                );
-                1
-            }
-        }
+        let slot = slots.entry(name.to_string()).or_insert(Slot {
+            model: None,
+            generation: 0,
+        });
+        slot.generation += 1;
+        slot.model = Some(model);
+        slot.generation
     }
 
-    /// Removes a slot, returning its model if it existed. Sessions already
-    /// holding the model keep working.
+    /// Retires a slot, returning its model if one was published. Sessions
+    /// already holding the model keep working.
     pub fn retire(&self, name: &str) -> Option<Arc<dyn Module>> {
         let mut slots = self.slots.write().expect("registry lock poisoned");
-        slots.remove(name).map(|s| s.model)
+        slots.get_mut(name)?.model.take()
+    }
+
+    /// The current model under `name` and its generation, read under one
+    /// lock; `None` for an unknown or retired name.
+    fn current(&self, name: &str) -> Option<(Arc<dyn Module>, u64)> {
+        let slots = self.slots.read().expect("registry lock poisoned");
+        let slot = slots.get(name)?;
+        Some((Arc::clone(slot.model.as_ref()?), slot.generation))
     }
 
     /// A shared handle to the current model under `name`.
     pub fn get(&self, name: &str) -> Option<Arc<dyn Module>> {
-        let slots = self.slots.read().expect("registry lock poisoned");
-        slots.get(name).map(|s| Arc::clone(&s.model))
+        self.current(name).map(|(model, _)| model)
     }
 
     /// The slot's current generation (bumped on every publish).
     pub fn generation(&self, name: &str) -> Option<u64> {
-        let slots = self.slots.read().expect("registry lock poisoned");
-        slots.get(name).map(|s| s.generation)
+        self.current(name).map(|(_, generation)| generation)
     }
 
-    /// All slot names, sorted.
+    /// All published slot names, sorted.
     pub fn names(&self) -> Vec<String> {
         let slots = self.slots.read().expect("registry lock poisoned");
-        let mut names: Vec<String> = slots.keys().cloned().collect();
+        let mut names: Vec<String> = slots
+            .iter()
+            .filter(|(_, s)| s.model.is_some())
+            .map(|(name, _)| name.clone())
+            .collect();
         names.sort();
         names
     }
@@ -146,13 +151,9 @@ impl ModelRegistry {
     /// and parameter statistics. The registry lock is held only to clone
     /// the `Arc`; the parameter walk happens after it is released (see the
     /// module-level concurrency contract). Returns `None` for an unknown
-    /// name.
+    /// or retired name.
     pub fn info(&self, name: &str) -> Option<SlotInfo> {
-        let (model, generation) = {
-            let slots = self.slots.read().expect("registry lock poisoned");
-            let slot = slots.get(name)?;
-            (Arc::clone(&slot.model), slot.generation)
-        };
+        let (model, generation) = self.current(name)?;
         Some(SlotInfo::collect(name, generation, &model))
     }
 
@@ -165,7 +166,10 @@ impl ModelRegistry {
             let slots = self.slots.read().expect("registry lock poisoned");
             let mut hs: Vec<_> = slots
                 .iter()
-                .map(|(name, slot)| (name.clone(), slot.generation, Arc::clone(&slot.model)))
+                .filter_map(|(name, slot)| {
+                    let model = Arc::clone(slot.model.as_ref()?);
+                    Some((name.clone(), slot.generation, model))
+                })
                 .collect();
             hs.sort_by(|a, b| a.0.cmp(&b.0));
             hs
@@ -177,13 +181,9 @@ impl ModelRegistry {
     }
 
     /// Opens a generation-tracking serving session on a slot. Returns
-    /// `None` for an unknown name.
+    /// `None` for an unknown or retired name.
     pub fn session<'r>(&'r self, name: &str) -> Option<RegistrySession<'r>> {
-        let (model, generation) = {
-            let slots = self.slots.read().expect("registry lock poisoned");
-            let slot = slots.get(name)?;
-            (Arc::clone(&slot.model), slot.generation)
-        };
+        let (model, generation) = self.current(name)?;
         Some(RegistrySession {
             registry: self,
             name: name.to_string(),
@@ -284,12 +284,8 @@ impl RegistrySession<'_> {
     ///
     /// [`predict_batch`]: RegistrySession::predict_batch
     pub fn refresh(&mut self) -> bool {
-        match self.registry.generation(&self.name) {
-            Some(generation) if generation != self.generation => {
-                let model = self
-                    .registry
-                    .get(&self.name)
-                    .expect("slot exists at this generation");
+        match self.registry.current(&self.name) {
+            Some((model, generation)) if generation != self.generation => {
                 self.session = InferenceSession::owned(model);
                 self.generation = generation;
                 true
@@ -464,6 +460,30 @@ mod tests {
         let after = session.predict(&x);
         assert!(before.bit_identical(&after));
         assert!(reg.session("net").is_none());
+    }
+
+    #[test]
+    fn republish_after_retire_reaches_open_sessions() {
+        let reg = ModelRegistry::new();
+        reg.publish("net", Arc::new(tiny_net(1)));
+        let mut session = reg.session("net").unwrap();
+        let mut rng = Rng::seed_from(9);
+        let x = Tensor::randn(&[3, 16, 16], &mut rng);
+        let before = session.predict(&x);
+        reg.retire("net");
+        let generation = reg.publish("net", Arc::new(tiny_net(2)));
+        assert!(
+            generation > 1,
+            "a republished name reused generation {generation}"
+        );
+        let after = session.predict(&x);
+        assert_eq!(session.generation(), generation);
+        let want = InferenceSession::new(&tiny_net(2)).predict(&x);
+        assert!(
+            after.bit_identical(&want),
+            "the republished model must serve"
+        );
+        assert!(!after.bit_identical(&before));
     }
 
     #[test]

@@ -73,8 +73,9 @@ proptest! {
     }
 
     /// The int8 tier is bit-identical across every reachable SIMD
-    /// dispatch level (integer accumulation is associative; the f32
-    /// epilogue has a fixed operation order).
+    /// dispatch level and between the full pool and one thread (integer
+    /// accumulation is associative; the f32 epilogue has a fixed operation
+    /// order).
     #[test]
     fn quantized_resnet20_is_bit_identical_across_levels(seed in 0u64..1000) {
         let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -86,15 +87,23 @@ proptest! {
         // quantization time, so only kernel dispatch changes
         let mut session = twin;
         let prev = qn_simd::SimdLevel::active();
-        let mut outputs: Vec<Tensor> = Vec::new();
+        let mut outputs: Vec<(Tensor, Tensor)> = Vec::new();
         for level in qn_simd::available_levels() {
             qn_simd::force_level(level);
-            outputs.push(session.predict_batch(&x));
+            let pooled = session.predict_batch(&x);
+            let one_thread = qn_parallel::with_max_threads(1, || session.predict_batch(&x));
+            outputs.push((pooled, one_thread));
         }
         qn_simd::force_level(prev);
+        for (pooled, one_thread) in &outputs {
+            prop_assert!(
+                pooled.bit_identical(one_thread),
+                "int8 logits changed between the full pool and one thread"
+            );
+        }
         for pair in outputs.windows(2) {
             prop_assert!(
-                pair[0].bit_identical(&pair[1]),
+                pair[0].0.bit_identical(&pair[1].0),
                 "int8 logits changed across dispatch levels"
             );
         }

@@ -12,12 +12,9 @@
 //!
 //! The global pool is sized once, on first use, from (in precedence order):
 //!
-//! 1. [`configure_pool_threads`] — a programmatic override, honoured only
-//!    before the pool has spawned (benchmarks use it to test oversubscribed
-//!    configurations);
-//! 2. the `QN_NUM_THREADS` environment variable (`QN_NUM_THREADS=1`
+//! 1. the `QN_NUM_THREADS` environment variable (`QN_NUM_THREADS=1`
 //!    disables parallelism entirely — every primitive runs inline);
-//! 3. [`std::thread::available_parallelism`].
+//! 2. [`std::thread::available_parallelism`].
 //!
 //! [`with_max_threads`] additionally caps the *effective* parallelism for
 //! the current thread for the duration of a closure, which is how the
@@ -83,7 +80,6 @@ struct Pool {
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
-static CONFIGURED: Mutex<Option<usize>> = Mutex::new(None);
 
 thread_local! {
     /// `true` while this thread is executing a pool task (worker threads, or
@@ -125,13 +121,7 @@ fn worker_loop(shared: Arc<Shared>) {
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let threads = CONFIGURED
-            .lock()
-            .expect("pool config poisoned")
-            .take()
-            .or_else(env_threads)
-            .unwrap_or_else(default_threads)
-            .max(1);
+        let threads = env_threads().unwrap_or_else(default_threads);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
@@ -147,20 +137,6 @@ fn pool() -> &'static Pool {
         }
         Pool { shared, threads }
     })
-}
-
-/// Sizes the global pool to `threads` if — and only if — it has not spawned
-/// yet. Returns `false` when the pool already exists (the call had no
-/// effect). Takes precedence over `QN_NUM_THREADS`.
-///
-/// Intended for benchmarks that want a fixed pool size regardless of the
-/// host; library code should rely on the environment-driven default.
-pub fn configure_pool_threads(threads: usize) -> bool {
-    if POOL.get().is_some() {
-        return false;
-    }
-    *CONFIGURED.lock().expect("pool config poisoned") = Some(threads.max(1));
-    POOL.get().is_none()
 }
 
 /// The global pool's total thread count (workers + the submitting thread),

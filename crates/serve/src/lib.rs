@@ -39,8 +39,8 @@
 //! # server.shutdown();
 //! ```
 //!
-//! The companion binary `qn-serve-bench` load-tests a server over loopback
-//! at stepped offered rates and writes `BENCH_serving.json`.
+//! The `resnet-serve` workload of the repository's `qnbench` benchmark
+//! load-tests a server over loopback.
 //!
 //! # Panics
 //!

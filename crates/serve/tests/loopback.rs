@@ -505,3 +505,35 @@ fn quantized_route_requantizes_on_hot_swap() {
 
     server.shutdown();
 }
+
+#[test]
+fn republish_after_retire_serves_the_new_model() {
+    let server = start(tiny_model(11), BatchConfig::default());
+    let addr = server.addr();
+    let vals = sample(11);
+    let body = to_bytes(&vals);
+    let hdr = [("Content-Type", "application/octet-stream")];
+
+    let before = request(addr, "POST", "/v1/models/m/predict", &hdr, &body);
+    assert_eq!(before.status, 200);
+
+    // retire and republish between two batches: the worker must not
+    // mistake the new model for the retired one
+    server.registry().retire("m");
+    let generation = server.registry().publish("m", tiny_model(12));
+    assert!(
+        generation > 1,
+        "a republished name reused generation {generation}"
+    );
+    let after = request(addr, "POST", "/v1/models/m/predict", &hdr, &body);
+    assert_eq!(after.status, 200);
+    let expect = InferenceSession::owned(tiny_model(12))
+        .predict(&Tensor::from_vec(vals, &[IN_DIM]).expect("sample"));
+    let got = from_bytes(&after.body);
+    assert_eq!(got.len(), OUT_DIM);
+    for (g, e) in got.iter().zip(expect.data()) {
+        assert_eq!(g.to_bits(), e.to_bits(), "the republished model must serve");
+    }
+
+    server.shutdown();
+}

@@ -5,9 +5,10 @@
 //! hands it back to later requests of the same length, so a steady-state
 //! loop that repeatedly materializes the same tensor shapes (a serving
 //! loop, a training step, a GEMM packing buffer) stops touching the global
-//! allocator entirely once the pool is warm. The `alloc` bench in
-//! `qn-bench` verifies this with a counting allocator: after warmup,
-//! `InferenceSession::predict` performs **zero** heap allocations.
+//! allocator entirely once the pool is warm. `crates/bench/tests/contracts.rs`
+//! verifies this with a counting allocator: after warmup,
+//! `InferenceSession::predict` on one worker thread performs **zero** heap
+//! allocations.
 //!
 //! Two element types are bucketed — `f32` (tensor data and kernel
 //! scratch) and `usize` (shape dims) — exactly the buffers the pooled hot

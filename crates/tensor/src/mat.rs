@@ -269,9 +269,11 @@ impl<'a> MatMut<'a> {
 /// holds the packed-B panel, and every pool worker
 /// takes its A-tile from its **own** cache inside the band task — so
 /// parallel products never contend on a lock, and a steady-state loop of
-/// same-shape products allocates nothing. Recycled buffers have
-/// unspecified contents; the packing routines write every element,
-/// padding included.
+/// same-shape products allocates nothing. A take reuses the smallest
+/// buffer that fits, and a full cache keeps the largest buffers, so
+/// buffers left by earlier, smaller products cannot crowd out the ones a
+/// later loop needs. Recycled buffers have unspecified contents; the
+/// packing routines write every element, padding included.
 pub(crate) mod scratch {
     use std::cell::RefCell;
 
@@ -283,56 +285,55 @@ pub(crate) mod scratch {
         static I8S: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Takes a `len`-element buffer with unspecified contents: reuses a
-    /// cached buffer whose capacity suffices, else allocates.
+    /// A `len`-element buffer with unspecified contents: the smallest
+    /// cached buffer whose capacity suffices, else a new one.
+    fn take<T: Copy + Default>(cache: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+        let fit = (0..cache.len())
+            .filter(|&i| cache[i].capacity() >= len)
+            .min_by_key(|&i| cache[i].capacity());
+        match fit {
+            Some(i) => {
+                let mut buf = cache.swap_remove(i);
+                buf.resize(len, T::default());
+                buf
+            }
+            None => vec![T::default(); len],
+        }
+    }
+
+    /// Caches `buf`; a full cache swaps out its smallest buffer if `buf`
+    /// is larger, and drops `buf` otherwise.
+    fn give<T>(cache: &mut Vec<Vec<T>>, buf: Vec<T>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if cache.len() < MAX_HELD {
+            cache.push(buf);
+        } else if let Some(smallest) = cache.iter_mut().min_by_key(|b| b.capacity()) {
+            if smallest.capacity() < buf.capacity() {
+                *smallest = buf;
+            }
+        }
+    }
+
+    /// Takes an `f32` buffer from this thread's cache.
     pub fn take_f32(len: usize) -> Vec<f32> {
-        F32S.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            match cache.iter().position(|b| b.capacity() >= len) {
-                Some(i) => {
-                    let mut buf = cache.swap_remove(i);
-                    buf.resize(len, 0.0);
-                    buf
-                }
-                None => vec![0.0; len],
-            }
-        })
+        F32S.with(|cache| take(&mut cache.borrow_mut(), len))
     }
 
-    /// Returns a buffer to this thread's cache (dropped when full).
+    /// Returns an `f32` buffer to this thread's cache.
     pub fn give_f32(buf: Vec<f32>) {
-        F32S.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() < MAX_HELD && buf.capacity() > 0 {
-                cache.push(buf);
-            }
-        });
+        F32S.with(|cache| give(&mut cache.borrow_mut(), buf));
     }
 
-    /// Takes a `len`-element int8 buffer with unspecified contents (the
-    /// int8 GEMM's operand-packing scratch).
+    /// Takes an int8 buffer (the int8 GEMM's operand-packing scratch).
     pub fn take_i8(len: usize) -> Vec<i8> {
-        I8S.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            match cache.iter().position(|b| b.capacity() >= len) {
-                Some(i) => {
-                    let mut buf = cache.swap_remove(i);
-                    buf.resize(len, 0);
-                    buf
-                }
-                None => vec![0; len],
-            }
-        })
+        I8S.with(|cache| take(&mut cache.borrow_mut(), len))
     }
 
     /// Returns an int8 buffer to this thread's cache.
     pub fn give_i8(buf: Vec<i8>) {
-        I8S.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if cache.len() < MAX_HELD && buf.capacity() > 0 {
-                cache.push(buf);
-            }
-        });
+        I8S.with(|cache| give(&mut cache.borrow_mut(), buf));
     }
 }
 
@@ -772,12 +773,12 @@ pub fn gemm_batched<'a, FA, FB>(
 
 /// The seed naive matmul kernels, retained verbatim (modulo the parallel
 /// split, which was bit-neutral) as the executable specification the packed
-/// [`gemm`] core is tested — and benchmarked — against.
+/// [`gemm`] core is tested against.
 ///
 /// These run strictly sequentially and are **not** called by any production
-/// path; `crates/tensor/tests/gemm_equivalence.rs` asserts bit-equality
-/// against them and `crates/bench/benches/gemm.rs` measures the speedup
-/// over them.
+/// path; `crates/tensor/tests/gemm_equivalence.rs` and
+/// `crates/tensor/tests/gemm_fast_profile.rs` assert bit-equality against
+/// them.
 pub mod reference {
     use crate::Tensor;
 

@@ -44,9 +44,10 @@ fn causal_probs(t: usize, rng: &mut Rng) -> Tensor {
     p
 }
 
-/// ResNet-20 im2col-shaped product (`matmul_transb`), a plain square
-/// matmul, a causal attention-probability product (`0 × finite` terms)
-/// and one whose B has a NaN row and an ∞ row (`0 × NaN`, `0 × ∞`).
+/// The ResNet-20 im2col products (`matmul_transb`) and the transformer
+/// attention products the models run, a plain square matmul, a causal
+/// attention-probability product (`0 × finite` terms) and one whose B has
+/// a NaN row and an ∞ row (`0 × NaN`, `0 × ∞`).
 fn products(rng: &mut Rng) -> Vec<(Tensor, Tensor, bool)> {
     vec![
         // stage-2 im2col shape (crosses packing + parallel thresholds)
@@ -71,6 +72,34 @@ fn products(rng: &mut Rng) -> Vec<(Tensor, Tensor, bool)> {
                 b.data_mut()[40 * 32..41 * 32].fill(f32::INFINITY);
                 b
             },
+            false,
+        ),
+        // stage-1 and stage-3 im2col shapes
+        (
+            Tensor::randn(&[1024, 144], rng),
+            Tensor::randn(&[16, 144], rng),
+            true,
+        ),
+        (
+            Tensor::randn(&[64, 576], rng),
+            Tensor::randn(&[64, 576], rng),
+            true,
+        ),
+        // attention scores and context at T = 64 (d_head 32), scores at
+        // T = 128 (d_head 64)
+        (
+            Tensor::randn(&[64, 32], rng),
+            Tensor::randn(&[32, 64], rng),
+            false,
+        ),
+        (
+            Tensor::randn(&[64, 64], rng),
+            Tensor::randn(&[64, 32], rng),
+            false,
+        ),
+        (
+            Tensor::randn(&[128, 64], rng),
+            Tensor::randn(&[64, 128], rng),
             false,
         ),
     ]
