@@ -254,12 +254,12 @@ pub trait Exec {
     /// `x·wⱼ` and `fⱼ` straight into the interleaved layout, and one row
     /// pass then finishes each `yⱼ` in place.
     ///
-    /// Under the default `Exact` profile both produce the same bits. Each
-    /// product element is a sequential dot over `n` starting from `+0.0`,
-    /// whichever operand holds its weight row and whichever GEMM path
-    /// (packed or fallback) runs it. The eager pass sums `fᵢ·fᵢ·λᵢ` from
-    /// `+0.0` in index order, like the default's `square`, `mul_bcast` and
-    /// `sum_axis`, and then forms `(x·w + b) + Σ` in the default's order.
+    /// Both produce the same bits. Each product element is a sequential
+    /// dot over `n` starting from `+0.0`, whichever operand holds its
+    /// weight row and whichever GEMM path (packed or fallback) runs it. The
+    /// eager pass sums `fᵢ·fᵢ·λᵢ` from `+0.0` in index order, like the
+    /// default's `square`, `mul_bcast` and `sum_axis`, and then forms
+    /// `(x·w + b) + Σ` in the default's order.
     ///
     /// # Panics
     ///
@@ -1262,20 +1262,15 @@ impl Exec for EagerExec {
             xv.mat(),
             MatRef::new(&stacked, width, n).transpose(),
         );
-        let fast = qn_simd::KernelProfile::active() == qn_simd::KernelProfile::Fast;
         qn_parallel::par_chunks_mut_min(c, width, PAR_MIN_ELEMS, |_, row| {
             for (j, group) in row.chunks_mut(k + 1).enumerate() {
                 let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
                 let lam = &ld[j * k..(j + 1) * k];
-                let mut energy = [0.0f32];
-                if fast {
-                    qn_simd::weighted_square_row(&mut energy, f, lam, k);
-                } else {
-                    for (&fi, &li) in f.iter().zip(lam) {
-                        energy[0] += fi * fi * li;
-                    }
+                let mut energy = 0.0f32;
+                for (&fi, &li) in f.iter().zip(lam) {
+                    energy += fi * fi * li;
                 }
-                *y = (*y + bd[j]) + energy[0];
+                *y = (*y + bd[j]) + energy;
             }
         });
         if let Some(s) = &scratch {
@@ -1396,8 +1391,7 @@ impl Exec for EagerExec {
         let out = refit_slot(slot, xv.shape().dims());
         // Every stage is a plain lane-wise add/sub/mul/max — no fusing, no
         // reassociation — so each lane computes the exact scalar expression
-        // of the tail loop and the op is bit-identical under both profiles
-        // at every SIMD level.
+        // of the tail loop and the op is bit-identical at every SIMD level.
         #[inline(always)]
         unsafe fn run_plane<S: qn_simd::arch::SimdF32>(
             oplane: &mut [f32],

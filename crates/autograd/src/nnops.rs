@@ -3,7 +3,6 @@
 
 use crate::graph::{Graph, Var};
 use crate::PAR_MIN_ELEMS;
-use qn_simd::KernelProfile;
 use qn_tensor::Tensor;
 
 /// Accumulates one row's label-smoothed cross-entropy into `loss`:
@@ -55,17 +54,9 @@ impl Graph {
                 // form
                 let pd = out.data();
                 let gd = g.data_mut();
-                // Under the `Fast` profile the per-row Σ g·p runs the vector
-                // dot (FMA + reassociated partial sums, ULP-bounded); `Exact`
-                // keeps the seed sequential fold.
-                let fast = KernelProfile::active() == KernelProfile::Fast;
                 for row in 0..pd.len() / last {
                     let base = row * last;
-                    let s: f32 = if fast {
-                        qn_simd::dot(&gd[base..base + last], &pd[base..base + last])
-                    } else {
-                        (0..last).map(|j| gd[base + j] * pd[base + j]).sum()
-                    };
+                    let s: f32 = (0..last).map(|j| gd[base + j] * pd[base + j]).sum();
                     for j in 0..last {
                         gd[base + j] = pd[base + j] * (gd[base + j] - s);
                     }
@@ -167,13 +158,7 @@ impl Graph {
             "weight count {} != batch {b}",
             weights.len()
         );
-        // Loss normalizer: vector partial sums under `Fast` (ULP-bounded),
-        // the seed sequential fold under `Exact`.
-        let wsum: f32 = if KernelProfile::active() == KernelProfile::Fast {
-            qn_simd::reduce_sum(weights)
-        } else {
-            weights.iter().sum()
-        };
+        let wsum: f32 = weights.iter().sum();
         assert!(wsum > 0.0, "all weights are zero");
         for &t in targets {
             assert!(t < c, "target {t} out of range for {c} classes");
@@ -297,40 +282,22 @@ impl Graph {
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
             let hw = h * w;
-            // Training batch moments: per-plane reductions run the vector
-            // kernels under `Fast` (reassociated partial sums, ULP-bounded);
-            // `Exact` keeps the seed sequential folds.
-            let fast = KernelProfile::active() == KernelProfile::Fast;
             for bi in 0..b {
                 for (ci, mc) in mean.iter_mut().enumerate() {
                     let base = (bi * c + ci) * hw;
-                    let plane = &xv.data()[base..base + hw];
-                    *mc += if fast {
-                        qn_simd::reduce_sum(plane)
-                    } else {
-                        plane.iter().sum::<f32>()
-                    };
+                    *mc += xv.data()[base..base + hw].iter().sum::<f32>();
                 }
             }
             for v in &mut mean {
                 *v /= m;
             }
-            let mut centered = if fast { vec![0.0f32; hw] } else { Vec::new() };
             for bi in 0..b {
                 for ci in 0..c {
                     let base = (bi * c + ci) * hw;
-                    let plane = &xv.data()[base..base + hw];
-                    var[ci] += if fast {
-                        // Σ (x − μ)² as a centered self-dot: one vector
-                        // shift pass plus an FMA dot.
-                        qn_simd::add_scalar_to(&mut centered, plane, -mean[ci]);
-                        qn_simd::dot(&centered, &centered)
-                    } else {
-                        plane
-                            .iter()
-                            .map(|&x| (x - mean[ci]) * (x - mean[ci]))
-                            .sum::<f32>()
-                    };
+                    var[ci] += xv.data()[base..base + hw]
+                        .iter()
+                        .map(|&x| (x - mean[ci]) * (x - mean[ci]))
+                        .sum::<f32>();
                 }
             }
             for v in &mut var {
@@ -579,17 +546,10 @@ pub(crate) fn layer_norm_infer_into(
         "layer_norm_infer_into length mismatch"
     );
     // Inference path: rows are independent, so normalize them in
-    // parallel (bit-identical to the sequential training sweep). Under the
-    // `Fast` profile the row kernel vectorizes the mean/variance reductions
-    // (reassociated, tolerance-bounded — see `qn_simd::layer_norm_row`).
-    let fast = KernelProfile::active() == KernelProfile::Fast;
+    // parallel (bit-identical to the sequential training sweep).
     qn_parallel::par_chunks_mut_min(dst, d.max(1), PAR_MIN_ELEMS, |r, orow| {
         let base = r * d;
         let row = &xv.data()[base..base + d];
-        if fast {
-            qn_simd::layer_norm_row(orow, row, gv.data(), bv.data(), eps);
-            return;
-        }
         let mean = row.iter().sum::<f32>() / d as f32;
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
         let istd = 1.0 / (var + eps).sqrt();
@@ -619,7 +579,7 @@ pub(crate) fn batch_norm_infer_into(
         "batch_norm_infer_into length mismatch"
     );
     // The vector per-plane affine applies the same `(x − μ)·σ⁻¹·γ + β`
-    // operation order lane-wise, so it is bit-identical under both profiles.
+    // operation order lane-wise, so it is bit-identical to the scalar loop.
     qn_parallel::par_chunks_mut_min(dst, hw.max(1), PAR_MIN_ELEMS, |plane, out_plane| {
         let ci = plane % c;
         let base = plane * hw;
@@ -638,15 +598,7 @@ pub(crate) fn batch_norm_infer_into(
 /// softmax — the kernel under [`softmax_last`] and the eager path's
 /// copy-then-normalize (bit-identical either way).
 pub(crate) fn softmax_rows_inplace(data: &mut [f32], last: usize) {
-    // Under the `Fast` profile each row runs the vector kernel: same stable
-    // max-shift algorithm with a polynomial `exp` and reassociated sum
-    // (≤ 32 ULP per probability — see `qn_simd::softmax_row_inplace`).
-    let fast = KernelProfile::active() == KernelProfile::Fast;
     qn_parallel::par_chunks_mut_min(data, last.max(1), PAR_MIN_ELEMS, |_, row| {
-        if fast {
-            qn_simd::softmax_row_inplace(row);
-            return;
-        }
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for v in row.iter_mut() {

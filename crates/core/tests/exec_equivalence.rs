@@ -2,7 +2,7 @@
 //!
 //! Each property builds a layer with randomized shape/rank, runs the same
 //! forward pass on the autograd tape ([`Graph`]) and on the eager arena
-//! ([`EagerExec`]), and asserts the outputs agree within 1e-6 — the
+//! ([`EagerExec`]), and asserts the outputs agree bit for bit — the
 //! contract the dual-mode [`qn_nn::Module`] API relies on.
 
 use proptest::prelude::*;
@@ -16,7 +16,8 @@ use qn_core::NeuronSpec;
 use qn_nn::Module;
 use qn_tensor::{Conv2dSpec, Rng, Tensor};
 
-/// Runs `layer` on both execution contexts and asserts equal outputs.
+/// Runs `layer` on both execution contexts and asserts bit-identical
+/// outputs.
 fn assert_equivalent(layer: &dyn Module, x: &Tensor) -> Result<(), TestCaseError> {
     let mut g = Graph::new();
     let xv = g.leaf(x.clone());
@@ -30,8 +31,8 @@ fn assert_equivalent(layer: &dyn Module, x: &Tensor) -> Result<(), TestCaseError
 
     prop_assert_eq!(taped.shape().dims(), eager.shape().dims());
     prop_assert!(
-        taped.allclose(eager, 1e-6),
-        "tape and eager outputs diverge beyond 1e-6"
+        taped.bit_identical(eager),
+        "tape and eager outputs differ in their bits"
     );
     Ok(())
 }

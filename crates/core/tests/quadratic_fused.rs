@@ -3,13 +3,12 @@
 //! `EagerExec` runs `Exec::quadratic_neurons` as one GEMM against each
 //! neuron's stacked `[wⱼ; Qⱼ]` rows plus one in-place epilogue pass; the
 //! tape runs the op's default decomposition (`x·Qᵀ`, `x·Wᵀ`,
-//! `weighted_square_sum`, `add_bcast`, `add`, `interleave_last`). Under
-//! `Exact` the two must agree in every bit at every SIMD level, at the
-//! pool's width and on one thread, on shapes that reach each path `gemm`
-//! can take for the stacked product, with NaN, ±∞ and −0.0 in the input.
-//! (`exec_equivalence.rs` compares at 1e-6 on tiny shapes, which cannot
-//! see a reordered add.) Own integration binary because
-//! `force_profile`/`force_level` are process-global.
+//! `weighted_square_sum`, `add_bcast`, `add`, `interleave_last`). The two
+//! must agree in every bit at every SIMD level, at the pool's width and on
+//! one thread, on shapes that reach each path `gemm` can take for the
+//! stacked product, with NaN, ±∞ and −0.0 in the input.
+//! (`exec_equivalence.rs` compares bits on tiny random shapes only.) Own
+//! integration binary because `force_level` is process-global.
 
 use qn_autograd::{EagerExec, Graph};
 use qn_core::neurons::{EfficientQuadraticConv2d, EfficientQuadraticLinear, PatchConv2d};
@@ -17,7 +16,7 @@ use qn_nn::Module;
 use qn_tensor::{Conv2dSpec, Rng, Tensor};
 use std::sync::Mutex;
 
-static PROFILE_LOCK: Mutex<()> = Mutex::new(());
+static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn taped(layer: &dyn Module, x: &Tensor) -> Tensor {
     let mut g = Graph::new();
@@ -82,11 +81,10 @@ fn layer(
     EfficientQuadraticLinear::from_factors(q, lambda, w, b, vectorized)
 }
 
-/// Eager equals taped under `Exact` at every available SIMD level, with
-/// the pool at its default width and capped to one thread.
+/// Eager equals taped at every available SIMD level, with the pool at its
+/// default width and capped to one thread.
 fn check(layer: &dyn Module, x: &Tensor, what: &str) {
-    let _g = PROFILE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let prev_profile = qn_simd::force_profile(qn_simd::KernelProfile::Exact);
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let prev_level = qn_simd::SimdLevel::active();
     for level in qn_simd::available_levels() {
         qn_simd::force_level(level);
@@ -100,7 +98,6 @@ fn check(layer: &dyn Module, x: &Tensor, what: &str) {
         assert_same_bits(&one, &want, &format!("{what} at {level:?}, one thread"));
     }
     qn_simd::force_level(prev_level);
-    qn_simd::force_profile(prev_profile);
 }
 
 /// `(rows, n, m, k)` of dense cases: the stacked product is

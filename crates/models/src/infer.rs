@@ -213,14 +213,6 @@ impl<'m> InferenceSession<'m> {
         s
     }
 
-    /// Configures (or clears) per-sample shape validation after
-    /// construction — the post-hoc form of
-    /// [`InferenceSession::with_sample_shape`] for sessions built through
-    /// [`InferenceSession::owned`] / [`InferenceSession::quantized`].
-    pub fn set_sample_shape(&mut self, dims: Option<&[usize]>) {
-        self.sample_shape = dims.map(<[usize]>::to_vec);
-    }
-
     /// The numeric tier this session executes in.
     pub fn precision(&self) -> Precision {
         self.precision

@@ -490,9 +490,9 @@ impl Transformer {
     /// is encoded once, each decoder layer's cross-attention K/V are
     /// projected from the encoder memory once, and each step runs the
     /// decoder on the newest token alone against a cache of the earlier
-    /// positions' self-attention K/V. Under the default `Exact` kernel
-    /// profile the tokens are bit-identical to rerunning
-    /// [`Transformer::forward`] on the whole prefix at every step.
+    /// positions' self-attention K/V. The tokens are bit-identical to
+    /// rerunning [`Transformer::forward`] on the whole prefix at every
+    /// step.
     ///
     /// # Panics
     ///

@@ -1,10 +1,10 @@
-//! Incremental greedy decoding against full recompute: under `Exact`,
+//! Incremental greedy decoding against full recompute:
 //! `Transformer::greedy_decode` — which encodes once and steps the decoder
 //! one token at a time against cached attention K/V — must emit the tokens
 //! of rerunning `Transformer::forward` on the whole prefix at every step,
 //! at every SIMD level, for random linear and quadratic models whose
 //! sources and decoded prefixes contain PAD. Own integration binary
-//! because `force_profile`/`force_level` are process-global.
+//! because `force_level` is process-global.
 
 use qn_autograd::{EagerExec, Exec};
 use qn_data::{BOS, EOS, PAD};
@@ -12,7 +12,7 @@ use qn_models::{Transformer, TransformerConfig};
 use qn_tensor::Rng;
 use std::sync::Mutex;
 
-static PROFILE_LOCK: Mutex<()> = Mutex::new(());
+static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 const SRC_VOCAB: usize = 11;
 const TGT_VOCAB: usize = 13;
@@ -77,8 +77,7 @@ fn random_case(case: usize, rng: &mut Rng) -> (Transformer, Vec<usize>) {
 
 #[test]
 fn greedy_decode_matches_full_recompute_at_every_level() {
-    let _g = PROFILE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let prev_profile = qn_simd::force_profile(qn_simd::KernelProfile::Exact);
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let prev_level = qn_simd::SimdLevel::active();
     let mut rng = Rng::seed_from(0xD3C0DE);
     let (mut full_length, mut pad_tokens) = (0, 0);
@@ -101,7 +100,6 @@ fn greedy_decode_matches_full_recompute_at_every_level() {
         pad_tokens += tokens.iter().filter(|&&t| t == PAD).count();
     }
     qn_simd::force_level(prev_level);
-    qn_simd::force_profile(prev_profile);
     // the cases must reach the cache's full depth and decode PAD keys
     assert!(full_length > 0, "no decode ran to max_len");
     assert!(pad_tokens > 0, "no decode emitted PAD");

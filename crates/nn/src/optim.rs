@@ -1,12 +1,9 @@
 //! Optimizers with parameter groups and gradient clipping.
 //!
 //! Update loops run the vectorized `qn_simd::{sgd_update, adam_update}`
-//! kernels under both `qn_simd::KernelProfile`s. `Exact` runs vector code
-//! only where every lane computes the seed's scalar expression, and these
-//! kernels qualify: they are element-local, with no FMA and with
-//! correctly-rounded div/sqrt, so parameters are bit-identical at every
-//! SIMD level. `Fast` adds FMA fusing, reassociated reductions and a
-//! polynomial `exp`, none of which an update step uses.
+//! kernels. Each lane computes the seed's scalar expression: the kernels
+//! are element-local, with no FMA and with correctly-rounded div/sqrt, so
+//! parameters are bit-identical at every SIMD level.
 
 use qn_autograd::Parameter;
 use qn_tensor::{Checkpoint, CheckpointWriter, Tensor, TensorError};

@@ -2,7 +2,7 @@
 //!
 //! The dual-mode [`Module`] contract: running a layer's forward pass on the
 //! autograd tape ([`Graph`]) and on the eager arena ([`EagerExec`]) must
-//! produce identical outputs (within 1e-6) for any valid input shape.
+//! produce bit-identical outputs for any valid input shape.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -13,7 +13,8 @@ use qn_nn::{
 };
 use qn_tensor::{Conv2dSpec, Rng, Tensor};
 
-/// Runs `layer` on both execution contexts and asserts equal outputs.
+/// Runs `layer` on both execution contexts and asserts bit-identical
+/// outputs.
 fn assert_equivalent(layer: &dyn Module, x: &Tensor) -> Result<(), TestCaseError> {
     let mut g = Graph::new();
     let xv = g.leaf(x.clone());
@@ -27,8 +28,8 @@ fn assert_equivalent(layer: &dyn Module, x: &Tensor) -> Result<(), TestCaseError
 
     prop_assert_eq!(taped.shape().dims(), eager.shape().dims());
     prop_assert!(
-        taped.allclose(eager, 1e-6),
-        "tape and eager outputs diverge beyond 1e-6"
+        taped.bit_identical(eager),
+        "tape and eager outputs differ in their bits"
     );
     Ok(())
 }
@@ -126,6 +127,6 @@ proptest! {
         let tv = emb.forward(&mut g, &ids);
         let mut e = EagerExec::new();
         let ev = emb.forward(&mut e, &ids);
-        prop_assert!(g.value(tv).allclose(e.value(ev), 1e-6));
+        prop_assert!(g.value(tv).bit_identical(e.value(ev)));
     }
 }

@@ -6,7 +6,7 @@
 //! vendors a minimal data-parallel core in the same spirit as the offline
 //! shims under `crates/shims/`: a lazily-spawned global pool of worker
 //! threads plus scoped fork–join primitives that may borrow stack data
-//! ([`par_scope`], [`par_chunks_mut`], [`par_map`], [`par_join`]).
+//! ([`par_scope`], [`par_chunks_mut`], [`par_map`]).
 //!
 //! ## Sizing
 //!
@@ -248,8 +248,8 @@ fn run_as_worker(job: Job) {
 /// blocking join is what makes that sound. If any task panics, the panic is
 /// re-raised on the calling thread after the scope completes.
 ///
-/// This is the low-level primitive under [`par_chunks_mut`], [`par_map`]
-/// and [`par_join`]; kernels normally want one of those instead.
+/// This is the low-level primitive under [`par_chunks_mut`] and
+/// [`par_map`]; kernels normally want one of those instead.
 ///
 /// # Panics
 ///
@@ -534,32 +534,6 @@ where
         .collect()
 }
 
-/// Runs two closures, potentially in parallel, and returns both results.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by either closure (via
-/// [`par_scope`]), after both have finished or unwound.
-pub fn par_join<RA, RB, FA, FB>(a: FA, b: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    let mut ra: Option<RA> = None;
-    let mut rb: Option<RB> = None;
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-            vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))];
-        par_scope(tasks);
-    }
-    (
-        ra.expect("par_scope runs every task"),
-        rb.expect("par_scope runs every task"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,13 +591,6 @@ mod tests {
         });
         let expect: Vec<usize> = (0..64).map(|x| x * x).collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn par_join_returns_both() {
-        let (a, b) = par_join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -367,15 +367,6 @@ impl Server {
         metrics_json(&self.shared)
     }
 
-    /// A route's flushed-batch-size distribution as `(size, count)` pairs
-    /// (the load generator reports this next to the latency percentiles).
-    pub fn route_batch_dist(&self, name: &str) -> Option<Vec<(usize, u64)>> {
-        self.shared
-            .routes
-            .get(name)
-            .map(|r| r.metrics.batch_size_dist())
-    }
-
     /// Graceful shutdown: stop admissions (queued samples answer 503),
     /// join workers, unblock the accept loop, join connection handlers.
     pub fn shutdown(mut self) {
@@ -521,8 +512,8 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Response {
     let path = req.path.as_str();
     match (method, path) {
         // Liveness plus the resolved kernel dispatch state, so an operator
-        // can confirm what `QN_SIMD` / `QN_KERNEL_PROFILE` actually took
-        // effect on this host (unrecognized values fall back silently).
+        // can confirm what `QN_SIMD` actually took effect on this host
+        // (unrecognized values fall back silently).
         ("GET", "/healthz") => Response::json(
             200,
             format!(

@@ -36,12 +36,8 @@ fn predict_roundtrips_match_direct_inference_over_keepalive() {
     let hbody = String::from_utf8_lossy(&health.body).into_owned();
     assert!(hbody.contains("\"status\":\"ok\""), "{hbody}");
     let simd = format!("\"simd\":\"{}\"", qn_simd::SimdLevel::active().name());
-    let prof = format!(
-        "\"kernel_profile\":\"{}\"",
-        qn_simd::KernelProfile::active().name()
-    );
     assert!(hbody.contains(&simd), "{hbody}");
-    assert!(hbody.contains(&prof), "{hbody}");
+    assert!(hbody.contains("\"kernel_profile\":\"exact\""), "{hbody}");
 
     let binary = roundtrip(
         &mut conn,

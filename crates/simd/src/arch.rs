@@ -2,13 +2,11 @@
 //!
 //! One trait, three implementations:
 //!
-//! - [`Avx2F32`] — 8 lanes over `__m256`, fused multiply-add via the FMA
-//!   extension (`x86_64` only, requires `avx2` **and** `fma` at runtime).
+//! - [`Avx2F32`] — 8 lanes over `__m256` (`x86_64` only, requires `avx2`
+//!   **and** `fma` at runtime).
 //! - [`Sse2F32`] — 4 lanes over `__m128` (`x86_64` baseline, always
-//!   available there). No FMA: [`SimdF32::mul_add`] rounds twice.
-//! - [`ScalarF32`] — 1 lane, plain `f32` arithmetic. Its `mul_add` uses
-//!   `f32::mul_add` (single rounding), so scalar-lane semantics match the
-//!   FMA ISAs, not SSE2.
+//!   available there).
+//! - [`ScalarF32`] — 1 lane, plain `f32` arithmetic.
 //!
 //! Kernels are written once, generic over `S: SimdF32`, marked
 //! `#[inline(always)]`, and instantiated inside thin
@@ -23,21 +21,19 @@
 //! Every method is `unsafe fn`: calling it is sound only when the
 //! implementation's instruction set is available on the executing CPU.
 //! Obtaining that proof is the dispatcher's job — user code should go
-//! through the safe slice kernels in this crate (or the profile-aware
-//! entry points in `qn-tensor`/`qn-autograd`) rather than touching these
-//! types directly.
+//! through the safe slice kernels in this crate (or the dispatched entry
+//! points in `qn-tensor`/`qn-autograd`) rather than touching these types
+//! directly.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
 /// A small fixed-width vector of `f32` lanes.
 ///
-/// All lane-wise operations follow IEEE-754 single precision exactly as
-/// the underlying instruction does; the only semantic differences between
-/// implementations are (a) whether [`mul_add`](SimdF32::mul_add) fuses
-/// (one rounding: AVX2, scalar) or not (two roundings: SSE2), and
-/// (b) the fixed reduction tree shape of
-/// [`reduce_add`](SimdF32::reduce_add)/[`reduce_max`](SimdF32::reduce_max).
+/// Every operation is lane-wise and follows IEEE-754 single precision
+/// exactly as the underlying instruction does. The three implementations
+/// share those semantics (the scalar `max` copies `maxps`), so they differ
+/// only in width.
 ///
 /// # Safety
 ///
@@ -81,13 +77,6 @@ pub unsafe trait SimdF32: Copy {
     /// The implementation's ISA must be available on the executing CPU.
     unsafe fn mul(self, o: Self) -> Self;
 
-    /// `self * m + a`. Single rounding on AVX2+FMA and scalar, two
-    /// roundings on SSE2.
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self;
-
     /// Lane-wise maximum with x86 `maxps` NaN semantics: if a lane of
     /// either operand is NaN, the lane of `o` is returned. Matches
     /// `f32::max(x, c)` for the ReLU pattern `x.max(0.0)`.
@@ -96,15 +85,8 @@ pub unsafe trait SimdF32: Copy {
     /// The implementation's ISA must be available on the executing CPU.
     unsafe fn max(self, o: Self) -> Self;
 
-    /// Lane-wise minimum (`minps` NaN semantics, see [`max`](SimdF32::max)).
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn min(self, o: Self) -> Self;
-
     /// Lane-wise IEEE division (`divps`) — correctly rounded, so results
-    /// are bit-identical to scalar `/` at every level. Contrast with
-    /// [`recip`](SimdF32::recip), the approximate reciprocal.
+    /// are bit-identical to scalar `/` at every level.
     ///
     /// # Safety
     /// The implementation's ISA must be available on the executing CPU.
@@ -116,50 +98,9 @@ pub unsafe trait SimdF32: Copy {
     /// # Safety
     /// The implementation's ISA must be available on the executing CPU.
     unsafe fn sqrt(self) -> Self;
-
-    /// Approximate lane-wise reciprocal, refined by two Newton–Raphson
-    /// steps to ≤ ~1 ULP of `1.0 / x` for normal, finite inputs.
-    /// The scalar implementation divides exactly.
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn recip(self) -> Self;
-
-    /// Round each lane to the nearest integer-valued float, ties to even.
-    /// Only defined for `|x| < 2^31`.
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn round(self) -> Self;
-
-    /// `2^n` per lane, where each lane holds an **integer-valued** float
-    /// `n` in `[-126, 127]` (exponent-bias bit trick; out-of-range inputs
-    /// produce garbage, callers clamp first).
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn pow2i(self) -> Self;
-
-    /// Sum of all lanes, using a fixed pairwise tree (the tree shape —
-    /// and therefore the rounding — depends on `LANES`, which is why
-    /// reductions are only ULP-equivalent across dispatch levels).
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn reduce_add(self) -> f32;
-
-    /// Maximum over all lanes (pairwise `maxps` tree).
-    ///
-    /// # Safety
-    /// The implementation's ISA must be available on the executing CPU.
-    unsafe fn reduce_max(self) -> f32;
 }
 
 /// One-lane fallback: plain `f32` arithmetic, valid on every CPU.
-///
-/// `mul_add` is `f32::mul_add` (fused, single rounding) so that the
-/// scalar dispatch level of the `Fast` profile has the same per-lane
-/// semantics as the FMA vector ISAs.
 #[derive(Copy, Clone, Debug)]
 pub struct ScalarF32(pub f32);
 
@@ -204,19 +145,9 @@ unsafe impl SimdF32 for ScalarF32 {
     }
 
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        ScalarF32(self.0.mul_add(m.0, a.0))
-    }
-
-    #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
         // `maxps` semantics: return the second operand if either is NaN.
         ScalarF32(if self.0 > o.0 { self.0 } else { o.0 })
-    }
-
-    #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
-        ScalarF32(if self.0 < o.0 { self.0 } else { o.0 })
     }
 
     #[inline(always)]
@@ -228,36 +159,10 @@ unsafe impl SimdF32 for ScalarF32 {
     unsafe fn sqrt(self) -> Self {
         ScalarF32(self.0.sqrt())
     }
-
-    #[inline(always)]
-    unsafe fn recip(self) -> Self {
-        ScalarF32(1.0 / self.0)
-    }
-
-    #[inline(always)]
-    unsafe fn round(self) -> Self {
-        ScalarF32(self.0.round_ties_even())
-    }
-
-    #[inline(always)]
-    unsafe fn pow2i(self) -> Self {
-        let n = self.0 as i32;
-        ScalarF32(f32::from_bits(((n + 127) << 23) as u32))
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_add(self) -> f32 {
-        self.0
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_max(self) -> f32 {
-        self.0
-    }
 }
 
 /// 4 × `f32` over `__m128`. SSE2 is part of the `x86_64` baseline, so
-/// this level is always reachable there. No FMA: `mul_add` rounds twice.
+/// this level is always reachable there.
 #[cfg(target_arch = "x86_64")]
 #[derive(Copy, Clone)]
 pub struct Sse2F32(__m128);
@@ -304,19 +209,8 @@ unsafe impl SimdF32 for Sse2F32 {
     }
 
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        // SSE2 has no FMA: two roundings.
-        Sse2F32(_mm_add_ps(_mm_mul_ps(self.0, m.0), a.0))
-    }
-
-    #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
         Sse2F32(_mm_max_ps(self.0, o.0))
-    }
-
-    #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
-        Sse2F32(_mm_min_ps(self.0, o.0))
     }
 
     #[inline(always)]
@@ -328,49 +222,9 @@ unsafe impl SimdF32 for Sse2F32 {
     unsafe fn sqrt(self) -> Self {
         Sse2F32(_mm_sqrt_ps(self.0))
     }
-
-    #[inline(always)]
-    unsafe fn recip(self) -> Self {
-        // rcpps (~12-bit) + two Newton-Raphson refinements.
-        let one = _mm_set1_ps(1.0);
-        let mut y = _mm_rcp_ps(self.0);
-        for _ in 0..2 {
-            let e = _mm_sub_ps(one, _mm_mul_ps(self.0, y));
-            y = _mm_add_ps(y, _mm_mul_ps(y, e));
-        }
-        Sse2F32(y)
-    }
-
-    #[inline(always)]
-    unsafe fn round(self) -> Self {
-        // cvtps2dq rounds to nearest-even under the default MXCSR state.
-        Sse2F32(_mm_cvtepi32_ps(_mm_cvtps_epi32(self.0)))
-    }
-
-    #[inline(always)]
-    unsafe fn pow2i(self) -> Self {
-        let n = _mm_cvtps_epi32(self.0);
-        let biased = _mm_add_epi32(n, _mm_set1_epi32(127));
-        Sse2F32(_mm_castsi128_ps(_mm_slli_epi32::<23>(biased)))
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_add(self) -> f32 {
-        // ((a0+a2) + (a1+a3)) — fixed pairwise tree.
-        let s = _mm_add_ps(self.0, _mm_movehl_ps(self.0, self.0));
-        let r = _mm_add_ss(s, _mm_shuffle_ps::<0b01>(s, s));
-        _mm_cvtss_f32(r)
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_max(self) -> f32 {
-        let s = _mm_max_ps(self.0, _mm_movehl_ps(self.0, self.0));
-        let r = _mm_max_ss(s, _mm_shuffle_ps::<0b01>(s, s));
-        _mm_cvtss_f32(r)
-    }
 }
 
-/// 8 × `f32` over `__m256` with fused multiply-add.
+/// 8 × `f32` over `__m256`.
 ///
 /// Requires both `avx2` and `fma` at runtime (always detected together
 /// on real parts; the dispatcher checks both).
@@ -420,18 +274,8 @@ unsafe impl SimdF32 for Avx2F32 {
     }
 
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        Avx2F32(_mm256_fmadd_ps(self.0, m.0, a.0))
-    }
-
-    #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
         Avx2F32(_mm256_max_ps(self.0, o.0))
-    }
-
-    #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
-        Avx2F32(_mm256_min_ps(self.0, o.0))
     }
 
     #[inline(always)]
@@ -442,51 +286,5 @@ unsafe impl SimdF32 for Avx2F32 {
     #[inline(always)]
     unsafe fn sqrt(self) -> Self {
         Avx2F32(_mm256_sqrt_ps(self.0))
-    }
-
-    #[inline(always)]
-    unsafe fn recip(self) -> Self {
-        let one = _mm256_set1_ps(1.0);
-        let mut y = _mm256_rcp_ps(self.0);
-        for _ in 0..2 {
-            let e = _mm256_fnmadd_ps(self.0, y, one); // 1 - x*y, fused
-            y = _mm256_fmadd_ps(y, e, y); // y + y*e
-        }
-        Avx2F32(y)
-    }
-
-    #[inline(always)]
-    unsafe fn round(self) -> Self {
-        Avx2F32(_mm256_round_ps::<
-            { _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC },
-        >(self.0))
-    }
-
-    #[inline(always)]
-    unsafe fn pow2i(self) -> Self {
-        let n = _mm256_cvtps_epi32(self.0);
-        let biased = _mm256_add_epi32(n, _mm256_set1_epi32(127));
-        Avx2F32(_mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)))
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_add(self) -> f32 {
-        // Halve 8→4→2→1 with a fixed pairwise tree.
-        let lo = _mm256_castps256_ps128(self.0);
-        let hi = _mm256_extractf128_ps::<1>(self.0);
-        let s = _mm_add_ps(lo, hi);
-        let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let r = _mm_add_ss(t, _mm_shuffle_ps::<0b01>(t, t));
-        _mm_cvtss_f32(r)
-    }
-
-    #[inline(always)]
-    unsafe fn reduce_max(self) -> f32 {
-        let lo = _mm256_castps256_ps128(self.0);
-        let hi = _mm256_extractf128_ps::<1>(self.0);
-        let s = _mm_max_ps(lo, hi);
-        let t = _mm_max_ps(s, _mm_movehl_ps(s, s));
-        let r = _mm_max_ss(t, _mm_shuffle_ps::<0b01>(t, t));
-        _mm_cvtss_f32(r)
     }
 }

@@ -8,16 +8,13 @@
 //!
 //! ## Determinism
 //!
-//! Unlike the `f32` kernels, the int8 kernels are **exact at every dispatch
-//! level under both kernel profiles**:
+//! Like the `f32` kernels, the int8 kernels are **exact at every dispatch
+//! level**:
 //!
 //! - [`dot_i8`] accumulates `i32` products of `i8` values. Integer addition
 //!   is associative, so reassociating the accumulation across lanes cannot
 //!   change a single bit — the AVX2/SSE2 paths are bit-identical to the
-//!   scalar loop by construction, and they run even under
-//!   [`KernelProfile::Exact`](crate::KernelProfile) (the exact/fast split
-//!   exists to protect `f32` seed bit-identity, which integer math never
-//!   threatens).
+//!   scalar loop by construction.
 //! - [`quantize_to_i8`] performs the identical IEEE-754 operation sequence
 //!   per lane (`(x·inv + C) − C` magic-number rounding, then clamp), so its
 //!   lanes are bit-exact across levels for finite inputs.
@@ -253,10 +250,10 @@ mod x86 {
 
 /// Widening int8 dot product `Σ a[i]·b[i]` with exact `i32` accumulation.
 ///
-/// Bit-identical at every dispatch level and under both kernel profiles
-/// (integer accumulation is associative — see the module docs). The caller
-/// must keep the reduction short enough that the exact sum fits an `i32`;
-/// `a.len() ≤ 133 000` is always safe (module docs).
+/// Bit-identical at every dispatch level (integer accumulation is
+/// associative — see the module docs). The caller must keep the reduction
+/// short enough that the exact sum fits an `i32`; `a.len() ≤ 133 000` is
+/// always safe (module docs).
 ///
 /// # Panics
 ///

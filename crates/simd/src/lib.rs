@@ -2,9 +2,8 @@
 //!
 //! One vectorized kernel layer for the whole workspace: a small portable
 //! `f32` SIMD abstraction ([`arch::SimdF32`] over AVX2+FMA / SSE2 /
-//! scalar), vectorized transcendental approximations ([`math`]), and
-//! runtime-dispatched slice kernels (re-exported at the crate root).
-//! `qn-tensor`'s GEMM micro-kernel and `qn-autograd`'s fused chains
+//! scalar) and runtime-dispatched slice kernels (re-exported at the crate
+//! root). `qn-tensor`'s GEMM micro-kernel and `qn-autograd`'s fused chains
 //! build their own `#[target_feature]` kernels directly on
 //! [`arch::SimdF32`]; everything else calls the safe kernels here.
 //!
@@ -27,35 +26,33 @@
 //! observable (and surfaced by `qn-serve`'s `/healthz` and `/metrics`),
 //! so a typo is visible rather than silently wrong.
 //!
-//! ## Determinism tiers: [`KernelProfile`]
+//! ## Determinism: [`KernelProfile`]
 //!
-//! | profile | selected by | contract |
-//! |---------|-------------|----------|
-//! | [`KernelProfile::Exact`] (default) | `QN_KERNEL_PROFILE=exact` | Vector code runs only where every lane computes the seed's scalar expression (lane-wise add/sub/mul/max/div/sqrt, the GEMM's unfused multiply-then-add); everything else keeps the seed scalar loop — bit-identical results at any thread count **and any `QN_SIMD` level**. |
-//! | [`KernelProfile::Fast`] | `QN_KERNEL_PROFILE=fast` | Adds FMA fusing, reassociated reductions and the polynomial `exp`; every such kernel is validated against the scalar reference under the documented ULP bound (see the `kernels` module docs, e.g. [`exp_to`]). |
-//!
-//! `Exact` is the default because the workspace's reproducibility
-//! contract (training resume, checkpoint equivalence, batched-serving
-//! bit-identity) is built on it. `Fast` is the opt-in throughput tier.
+//! Vector code runs only where every lane computes the seed's scalar
+//! expression: lane-wise add/sub/mul/max/div/sqrt, and the GEMM's
+//! multiply-then-add, which rounds the product and then the sum.
+//! Everything else keeps the seed scalar loop. Results are therefore
+//! bit-identical to the seed kernels at any thread count **and any
+//! `QN_SIMD` level** — the contract training resume, checkpoint
+//! equivalence and batched-serving bit-identity are built on.
+//! [`KernelProfile`] names that contract, so a run record or `/healthz`
+//! can state it.
 //!
 //! ## Forcing (tests & benches)
 //!
-//! [`force_level`]/[`force_profile`] override the resolved state
-//! process-wide and return the previous value. They exist so equivalence
-//! suites and benches can pin a code path; concurrent tests that force
-//! state must serialize themselves (the property suites guard with a
-//! mutex).
+//! [`force_level`] overrides the resolved level process-wide and returns
+//! the previous value, so equivalence suites and benches can pin a code
+//! path; concurrent tests that force the level must serialize themselves
+//! (the property suites guard with a mutex).
 
 pub mod arch;
 mod int8;
 mod kernels;
-pub mod math;
 
 pub use int8::{dot_i8, quantize_to_i8};
 pub use kernels::{
-    adam_update, add_scalar_to, add_to, affine_channel_to, dot, exp_to, layer_norm_row, mul_to,
-    reduce_max, reduce_sum, relu_to, scale_inplace, scale_to, sgd_update, sigmoid_to,
-    softmax_row_inplace, square_to, sub_to, weighted_square_row,
+    adam_update, add_scalar_to, add_to, affine_channel_to, mul_to, relu_to, scale_to, sgd_update,
+    square_to, sub_to,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -75,17 +72,13 @@ pub enum SimdLevel {
     Avx2 = 3,
 }
 
-/// Determinism tier for the workspace's compute kernels.
+/// The determinism contract of the workspace's compute kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum KernelProfile {
     /// Vector code only where every lane computes the seed's scalar
     /// expression — bit-identical at any thread count and any
-    /// [`SimdLevel`]. Default.
-    Exact = 1,
-    /// Adds FMA fusing, reassociated reductions and polynomial `exp` —
-    /// ULP-bounded against the scalar reference.
-    Fast = 2,
+    /// [`SimdLevel`].
+    Exact,
 }
 
 // Packed dispatch state. 0 = uninitialized; otherwise the enum's repr.
@@ -94,7 +87,6 @@ static DETECTED_LEVEL: AtomicU8 = AtomicU8::new(0);
 /// The env-capped level resolved at first use, unaffected by
 /// [`force_level`] — the ceiling [`available_levels`] reports.
 static CAP_LEVEL: AtomicU8 = AtomicU8::new(0);
-static ACTIVE_PROFILE: AtomicU8 = AtomicU8::new(0);
 
 impl SimdLevel {
     fn from_repr(v: u8) -> Option<SimdLevel> {
@@ -150,35 +142,16 @@ impl SimdLevel {
 }
 
 impl KernelProfile {
-    fn from_repr(v: u8) -> Option<KernelProfile> {
-        match v {
-            1 => Some(KernelProfile::Exact),
-            2 => Some(KernelProfile::Fast),
-            _ => None,
-        }
-    }
-
-    /// Lowercase name, matching the accepted `QN_KERNEL_PROFILE` values.
+    /// Lowercase name, as run records and `/healthz` report it.
     pub fn name(self) -> &'static str {
         match self {
             KernelProfile::Exact => "exact",
-            KernelProfile::Fast => "fast",
         }
     }
 
-    /// The profile in effect: `QN_KERNEL_PROFILE` resolved once at first
-    /// use (default [`KernelProfile::Exact`]), unless overridden by
-    /// [`force_profile`].
+    /// The profile in effect: always [`KernelProfile::Exact`].
     pub fn active() -> KernelProfile {
-        if let Some(p) = KernelProfile::from_repr(ACTIVE_PROFILE.load(Ordering::Relaxed)) {
-            return p;
-        }
-        let p = match std::env::var("QN_KERNEL_PROFILE").ok().as_deref() {
-            Some(s) if s.eq_ignore_ascii_case("fast") => KernelProfile::Fast,
-            _ => KernelProfile::Exact,
-        };
-        ACTIVE_PROFILE.store(p as u8, Ordering::Relaxed);
-        p
+        KernelProfile::Exact
     }
 }
 
@@ -221,14 +194,6 @@ pub fn force_level(level: SimdLevel) -> SimdLevel {
     prev
 }
 
-/// Overrides the active kernel profile process-wide and returns the
-/// previous profile. Same caveats as [`force_level`].
-pub fn force_profile(profile: KernelProfile) -> KernelProfile {
-    let prev = KernelProfile::active();
-    ACTIVE_PROFILE.store(profile as u8, Ordering::Relaxed);
-    prev
-}
-
 /// Every dispatch level reachable in this process: all levels up to the
 /// `QN_SIMD`-capped detected level (unaffected by [`force_level`], so a
 /// test suite can enumerate targets before forcing each one).
@@ -263,8 +228,7 @@ mod tests {
             assert_eq!(SimdLevel::from_repr(l as u8), Some(l));
         }
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
-        assert_eq!(KernelProfile::Exact.name(), "exact");
-        assert_eq!(KernelProfile::Fast.name(), "fast");
+        assert_eq!(KernelProfile::active().name(), "exact");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The int8 lane kernels and the optimizer-update kernels against their
 //! scalar references, at **every** dispatch level reachable on this host.
 //!
-//! Unlike the f32 kernels (where reductions reassociate and only get ULP
-//! bounds), everything in this file is **bit-exact** at every level:
+//! Like the f32 arithmetic kernels, everything in this file is
+//! **bit-exact** at every level:
 //!
 //! - `dot_i8` accumulates in i32, and integer addition is associative —
 //!   any summation order gives the same bits;
@@ -110,7 +110,7 @@ proptest! {
         lr in 0.001f32..0.5, momentum in 0.0f32..0.99, wd in 0.0f32..0.1
     ) {
         let n = value0.len();
-        // Seed scalar reference (the Exact-profile loop in qn-nn).
+        // Seed scalar reference (the update loop in qn-nn).
         let mut value_ref = value0.clone();
         let mut vel_ref = vel0.clone();
         for i in 0..n {
@@ -175,19 +175,4 @@ proptest! {
             Ok(())
         })?;
     }
-}
-
-/// The int8 kernels ignore the kernel profile: they are exact in both,
-/// so Exact mode is allowed to use them (documented in `qn_simd::int8`).
-#[test]
-fn int8_kernels_identical_across_profiles() {
-    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let a: Vec<i8> = (0..97).map(|i| ((i * 37 + 11) % 255 - 127) as i8).collect();
-    let b: Vec<i8> = (0..97).map(|i| ((i * 53 + 7) % 255 - 127) as i8).collect();
-    let prev = qn_simd::force_profile(qn_simd::KernelProfile::Exact);
-    let exact = qn_simd::dot_i8(&a, &b);
-    qn_simd::force_profile(qn_simd::KernelProfile::Fast);
-    let fast = qn_simd::dot_i8(&a, &b);
-    qn_simd::force_profile(prev);
-    assert_eq!(exact, fast);
 }

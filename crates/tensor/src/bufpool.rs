@@ -241,20 +241,11 @@ impl BufferPool {
         self.usizes.lock().expect("pool lock poisoned").map.clear();
     }
 
-    /// Pre-fills the `len` bucket with `value`-filled buffers — test hook
-    /// for the poisoned-pool property (recycled garbage must never leak
-    /// into results).
-    pub fn poison_f32(&self, len: usize, count: usize, value: f32) {
-        for _ in 0..count {
-            self.give_f32(vec![value; len]);
-        }
-    }
-
     /// Overwrites **every** currently held `f32` buffer with `value` — the
-    /// strongest form of the poisoned-pool test hook: after a warm pass,
-    /// every buffer the next pass will recycle carries `value` (e.g. NaN),
-    /// so any kernel that reads a recycled element before writing it is
-    /// caught by a bitwise comparison.
+    /// poisoned-pool test hook: after a warm pass, every buffer the next
+    /// pass will recycle carries `value` (e.g. NaN), so any kernel that
+    /// reads a recycled element before writing it is caught by a bitwise
+    /// comparison.
     pub fn poison_held(&self, value: f32) {
         let mut buckets = self.f32s.lock().expect("pool lock poisoned");
         for bucket in buckets.map.values_mut() {

@@ -20,14 +20,10 @@
 //! each band to the dispatched `qn-simd` vector kernel wherever every lane
 //! computes the closure's scalar expression: the arithmetic ops (add/sub/
 //! mul/scale/add-scalar/square/relu) are plain lane-wise IEEE operations —
-//! no reassociation, no fusing — so they run vector code under both
-//! `qn_simd::KernelProfile`s and stay bit-identical to the closure loop.
-//! Only `sigmoid_to`/`exp_to` consult the profile: `Exact` keeps the libm
-//! closure, `Fast` swaps in the polynomial approximation (ULP-bounded, see
-//! `qn_simd::math`).
+//! no reassociation, no fusing — so they run vector code and stay
+//! bit-identical to the closure loop. `sigmoid_to` keeps the libm closure.
 
 use qn_parallel::PAR_MIN_ELEMS;
-use qn_simd::KernelProfile;
 
 #[inline]
 fn bands_for(n: usize) -> usize {
@@ -172,7 +168,7 @@ fn banded_binary(dst: &mut [f32], a: &[f32], b: &[f32], kernel: fn(&mut [f32], &
     });
 }
 
-/// `dst[i] = a[i] + b[i]` — bit-identical in both profiles.
+/// `dst[i] = a[i] + b[i]` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -183,7 +179,7 @@ pub fn add_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     banded_binary(dst, a, b, qn_simd::add_to);
 }
 
-/// `dst[i] = a[i] - b[i]` — bit-identical in both profiles.
+/// `dst[i] = a[i] - b[i]` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -194,7 +190,7 @@ pub fn sub_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     banded_binary(dst, a, b, qn_simd::sub_to);
 }
 
-/// `dst[i] = a[i] * b[i]` — bit-identical in both profiles.
+/// `dst[i] = a[i] * b[i]` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -205,7 +201,7 @@ pub fn mul_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     banded_binary(dst, a, b, qn_simd::mul_to);
 }
 
-/// `dst[i] = src[i] * s` — bit-identical in both profiles.
+/// `dst[i] = src[i] * s` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -215,7 +211,7 @@ pub fn scale_to(dst: &mut [f32], src: &[f32], s: f32) {
     banded_unary_s(dst, src, s, qn_simd::scale_to);
 }
 
-/// `dst[i] = src[i] + s` — bit-identical in both profiles.
+/// `dst[i] = src[i] + s` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -225,7 +221,7 @@ pub fn add_scalar_to(dst: &mut [f32], src: &[f32], s: f32) {
     banded_unary_s(dst, src, s, qn_simd::add_scalar_to);
 }
 
-/// `dst[i] = src[i]²` — bit-identical in both profiles.
+/// `dst[i] = src[i]²` — bit-identical to the closure loop.
 ///
 /// # Panics
 ///
@@ -235,8 +231,8 @@ pub fn square_to(dst: &mut [f32], src: &[f32]) {
     banded_unary(dst, src, qn_simd::square_to);
 }
 
-/// `dst[i] = max(src[i], 0)` — bit-identical in both profiles (the vector
-/// `max` matches `f32::max`'s NaN → 0 behavior for this pattern).
+/// `dst[i] = max(src[i], 0)` — bit-identical to the closure loop (the
+/// vector `max` matches `f32::max`'s NaN → 0 behavior for this pattern).
 ///
 /// # Panics
 ///
@@ -246,32 +242,14 @@ pub fn relu_to(dst: &mut [f32], src: &[f32]) {
     banded_unary(dst, src, qn_simd::relu_to);
 }
 
-/// `dst[i] = 1 / (1 + e^(−src[i]))`. Under `Fast` this is the `qn-simd`
-/// polynomial approximation (≤ 16 ULP of the libm form).
+/// `dst[i] = 1 / (1 + e^(−src[i]))`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn sigmoid_to(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "sigmoid_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| 1.0 / (1.0 + (-v).exp())),
-        KernelProfile::Fast => banded_unary(dst, src, qn_simd::sigmoid_to),
-    }
-}
-
-/// `dst[i] = e^src[i]`. Under `Fast` this is the `qn-simd` polynomial
-/// approximation (≤ 8 ULP of `f32::exp` on its clamped domain).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn exp_to(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "exp_to length mismatch");
-    match KernelProfile::active() {
-        KernelProfile::Exact => map_to(dst, src, |v| v.exp()),
-        KernelProfile::Fast => banded_unary(dst, src, qn_simd::exp_to),
-    }
+    map_to(dst, src, |v| 1.0 / (1.0 + (-v).exp()));
 }
 
 #[cfg(test)]

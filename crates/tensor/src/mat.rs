@@ -18,29 +18,21 @@
 //!   loop. Large products are parallelized over disjoint output-row bands
 //!   on the `qn-parallel` pool.
 //!
-//! # Determinism and kernel profiles
+//! # Determinism
 //!
 //! The `k`-accumulation for every output element is **strictly sequential**
 //! (`p = 0, 1, …, k-1`), in the packed path, the small fallback path, and at
 //! any thread count. The packed path runs one micro-kernel
 //! ([`run_band_g`]), generic over `qn_simd::arch::SimdF32` at the active
 //! `QN_SIMD` level, in which every lane computes one output element's
-//! sequential chain — there is **no reassociation**:
+//! sequential chain — there is **no reassociation** — and each step rounds
+//! the product and then the sum, the seed's `*o += a * b`. So every product
+//! is **bit-identical** to the seed triple-loop kernels (retained in
+//! [`reference`](mod@reference)) at every SIMD level — the property suites
+//! in `crates/tensor/tests/` enforce the equality across shapes, transpose
+//! flags, thread counts and levels.
 //!
-//! - under the default `qn_simd::KernelProfile::Exact` each step rounds the
-//!   product and then the sum, the seed's `*o += a * b`, so every product
-//!   is **bit-identical** to the seed triple-loop kernels (retained in
-//!   [`reference`](mod@reference)) at every SIMD level — the property suites
-//!   in `crates/tensor/tests/` enforce the equality across shapes, transpose
-//!   flags, thread counts and levels;
-//! - under the opt-in `Fast` profile each step is one `mul_add`, which fuses
-//!   (one rounding instead of two) on ISAs with FMA. Results are ULP-bounded
-//!   against [`reference`](mod@reference)
-//!   (`crates/tensor/tests/gemm_fast_profile.rs`); at the SSE2 level, which
-//!   has no FMA, the two profiles run the same instructions.
-//!
-//! The fallback path for small/skinny products is exact under both
-//! profiles. No path skips zero coefficients of `A`, and none needs to:
+//! No path skips zero coefficients of `A`, and none needs to:
 //! every accumulator starts at `+0.0` and round-to-nearest never turns
 //! `+0.0` into `-0.0`, so adding a `±0.0` product never changes a bit,
 //! while `0 × NaN` and `0 × ∞` propagate NaN as IEEE-754 requires.
@@ -49,7 +41,7 @@ use crate::Tensor;
 #[cfg(target_arch = "x86_64")]
 use qn_simd::arch::{Avx2F32, Sse2F32};
 use qn_simd::arch::{ScalarF32, SimdF32};
-use qn_simd::{KernelProfile, SimdLevel};
+use qn_simd::SimdLevel;
 
 /// Rows per register block of the micro-kernel.
 const MR: usize = 4;
@@ -374,7 +366,7 @@ fn pack_b(b: MatRef<'_>) -> PackedB {
 /// Processes `band_rows` consecutive output rows starting at global row
 /// `first_row`, writing into `cband` (local offsets, `row_stride` apart),
 /// with the micro-kernel instantiated for `level`.
-fn run_band<const FUSE: bool>(
+fn run_band(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -395,19 +387,19 @@ fn run_band<const FUSE: bool>(
         // ISA.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe {
-            run_band_avx2::<FUSE>(
+            run_band_avx2(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => unsafe {
-            run_band_sse2::<FUSE>(
+            run_band_sse2(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
         // SAFETY: scalar lanes are plain f32 arithmetic — sound everywhere.
         _ => unsafe {
-            run_band_g::<ScalarF32, FUSE>(
+            run_band_g::<ScalarF32>(
                 cband, row_stride, band_rows, first_row, a, packed, &mut atile,
             )
         },
@@ -446,31 +438,15 @@ fn pack_a_block(atile: &mut [f32], a: MatRef<'_>, first: usize, mr: usize, k: us
     }
 }
 
-/// One accumulation step `acc + a·b`: a fused `mul_add` under `Fast`
-/// (`FUSE`), otherwise the rounded product then the rounded sum — the
-/// seed's `*o += a * b`.
-///
-/// # Safety
-///
-/// `S`'s instruction set must be available.
-#[inline(always)]
-unsafe fn madd<S: SimdF32, const FUSE: bool>(a: S, b: S, acc: S) -> S {
-    if FUSE {
-        a.mul_add(b, acc)
-    } else {
-        acc.add(a.mul(b))
-    }
-}
-
-/// The packed band loop, generic over the SIMD lane type and the profile.
+/// The packed band loop, generic over the SIMD lane type.
 ///
 /// Panels are consumed **in pairs** where possible: with `MR = 4` rows ×
 /// 2 panels the kernel keeps `8·(NR/LANES)` independent accumulator
 /// chains live, enough instruction-level parallelism to keep both vector
 /// ports busy (a single `MR × NR` block has only 4 chains at AVX2 width —
 /// latency then caps throughput at half peak). Each lane's
-/// `k`-accumulation is strictly sequential, so the profiles differ only in
-/// [`madd`].
+/// `k`-accumulation is strictly sequential, and each step rounds the
+/// product and then the sum, like the seed's `*o += a * b`.
 ///
 /// # Safety
 ///
@@ -478,7 +454,7 @@ unsafe fn madd<S: SimdF32, const FUSE: bool>(a: S, b: S, acc: S) -> S {
 /// `#[target_feature]` wrappers selected by [`run_band`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn run_band_g<S: SimdF32, const FUSE: bool>(
+unsafe fn run_band_g<S: SimdF32>(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -512,8 +488,8 @@ unsafe fn run_band_g<S: SimdF32, const FUSE: bool>(
                 for i in 0..MR {
                     let av = S::splat(ac[i]);
                     for v in 0..nv {
-                        acc0[i][v] = madd::<S, FUSE>(av, bv0[v], acc0[i][v]);
-                        acc1[i][v] = madd::<S, FUSE>(av, bv1[v], acc1[i][v]);
+                        acc0[i][v] = acc0[i][v].add(av.mul(bv0[v]));
+                        acc1[i][v] = acc1[i][v].add(av.mul(bv1[v]));
                     }
                 }
             }
@@ -535,7 +511,7 @@ unsafe fn run_band_g<S: SimdF32, const FUSE: bool>(
                 for i in 0..MR {
                     let av = S::splat(ac[i]);
                     for v in 0..nv {
-                        acc[i][v] = madd::<S, FUSE>(av, bv[v], acc[i][v]);
+                        acc[i][v] = acc[i][v].add(av.mul(bv[v]));
                     }
                 }
             }
@@ -582,7 +558,7 @@ unsafe fn store_acc_block<S: SimdF32>(
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_band_avx2<const FUSE: bool>(
+unsafe fn run_band_avx2(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -591,13 +567,13 @@ unsafe fn run_band_avx2<const FUSE: bool>(
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_g::<Avx2F32, FUSE>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Avx2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "sse2")]
-unsafe fn run_band_sse2<const FUSE: bool>(
+unsafe fn run_band_sse2(
     cband: &mut [f32],
     row_stride: usize,
     band_rows: usize,
@@ -606,7 +582,7 @@ unsafe fn run_band_sse2<const FUSE: bool>(
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_g::<Sse2F32, FUSE>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Sse2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
 }
 
 /// Fallback for products too small (or too skinny) to pack, parallelized
@@ -663,14 +639,11 @@ fn gemm_fallback(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
 ///
 /// Guarantees (see the module docs for the analysis):
 ///
-/// - under the default `Exact` profile, **bit-identical** results to the
-///   seed naive kernels ([`reference`](mod@reference)) at any thread count
-///   and any SIMD level — per-element accumulation over `k` is strictly
-///   sequential, each lane rounds the product and then the sum, and
-///   parallelism only ever splits disjoint output-row bands;
-/// - under the opt-in `Fast` profile (`QN_KERNEL_PROFILE=fast`), the packed
-///   path fuses each multiply-add — still sequential per output element,
-///   ULP-bounded against the reference (fusing only);
+/// - **bit-identical** results to the seed naive kernels
+///   ([`reference`](mod@reference)) at any thread count and any SIMD
+///   level — per-element accumulation over `k` is strictly sequential,
+///   each lane rounds the product and then the sum, and parallelism only
+///   ever splits disjoint output-row bands;
 /// - IEEE-754-exact non-finite propagation (`0 × NaN = NaN` survives);
 /// - `k == 0` zero-fills `C` (the empty sum).
 ///
@@ -690,16 +663,11 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     }
     // Resolved once per call, so every band of one product runs the same
     // code whichever pool worker executes it.
-    let fuse = KernelProfile::active() == KernelProfile::Fast;
     let level = SimdLevel::active();
     let packed = pack_b(b);
     let row_stride = c.row_stride;
     let band = |cband: &mut [f32], band_rows: usize, first: usize| {
-        if fuse {
-            run_band::<true>(cband, row_stride, band_rows, first, a, &packed, level)
-        } else {
-            run_band::<false>(cband, row_stride, band_rows, first, a, &packed, level)
-        }
+        run_band(cband, row_stride, band_rows, first, a, &packed, level)
     };
     let blocks = m.div_ceil(MR);
     let threads = qn_parallel::num_threads();
@@ -776,9 +744,8 @@ pub fn gemm_batched<'a, FA, FB>(
 /// [`gemm`] core is tested against.
 ///
 /// These run strictly sequentially and are **not** called by any production
-/// path; `crates/tensor/tests/gemm_equivalence.rs` and
-/// `crates/tensor/tests/gemm_fast_profile.rs` assert bit-equality against
-/// them.
+/// path; `crates/tensor/tests/gemm_equivalence.rs` asserts bit-equality
+/// against them.
 pub mod reference {
     use crate::Tensor;
 

@@ -23,8 +23,8 @@
 //! associative — any split of the `k` loop, any SIMD width, and any
 //! thread count produce the same accumulator bit-for-bit. The epilogue
 //! multiplies `acc as f32` by the two scales in one fixed order. So,
-//! unlike the f32 core, the int8 GEMM is **bit-identical across dispatch
-//! levels, kernel profiles, and thread counts** with no exact/fast split.
+//! like the f32 core, the int8 GEMM is **bit-identical across dispatch
+//! levels and thread counts**.
 //!
 //! # Accumulator range
 //!
@@ -431,8 +431,8 @@ impl QTensor {
 /// as `sb` (B being the transposed weight view, its columns are weight
 /// rows). The epilogue is the fixed order `(acc as f32 · sa[i]) · sb[j]`.
 ///
-/// **Bit-identical** across dispatch levels, kernel profiles, and thread
-/// counts — integer accumulation is associative (see module docs).
+/// **Bit-identical** across dispatch levels and thread counts — integer
+/// accumulation is associative (see module docs).
 ///
 /// # Panics
 ///

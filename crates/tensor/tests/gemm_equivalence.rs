@@ -8,10 +8,12 @@
 //! - zero-heavy A (`±0` products must leave every bit unchanged) and
 //!   non-finite B rows (`0 × NaN` must propagate),
 //! - sizes below and above both the packing and the parallel thresholds,
-//! - capped-to-one-thread vs. free thread count.
+//! - capped-to-one-thread vs. free thread count,
+//! - every SIMD level reachable on this host, at the ResNet-20 im2col and
+//!   transformer attention shapes.
 
 use proptest::prelude::*;
-use qn_tensor::{gemm, reference, MatMut, MatRef, Tensor};
+use qn_tensor::{gemm, reference, MatMut, MatRef, Rng, Tensor};
 
 /// Bit-identical for every non-NaN value, positional NaN-for-NaN otherwise.
 ///
@@ -185,4 +187,105 @@ fn batch_subslice_views_match_seed() {
         let expect = reference::matmul(&ai, &bi);
         assert_eq!(out.as_slice(), expect.data());
     }
+}
+
+/// Causal attention probabilities `[t, t]`: row `i` attends to keys
+/// `0..=i`, so the upper triangle is zero.
+fn causal_probs(t: usize, rng: &mut Rng) -> Tensor {
+    let mut p = Tensor::rand_uniform(&[t, t], 0.0, 1.0, rng);
+    for (i, row) in p.data_mut().chunks_mut(t).enumerate() {
+        row[i + 1..].fill(0.0);
+    }
+    p
+}
+
+/// The ResNet-20 im2col products (`matmul_transb`) and the transformer
+/// attention products the models run, a plain square matmul, a causal
+/// attention-probability product (`0 × finite` terms) and one whose B has
+/// a NaN row and an ∞ row (`0 × NaN`, `0 × ∞`).
+fn products(rng: &mut Rng) -> Vec<(Tensor, Tensor, bool)> {
+    vec![
+        // stage-2 im2col shape (crosses packing + parallel thresholds)
+        (
+            Tensor::randn(&[256, 288], rng),
+            Tensor::randn(&[32, 288], rng),
+            true,
+        ),
+        // square attention-like product
+        (
+            Tensor::randn(&[64, 64], rng),
+            Tensor::randn(&[64, 64], rng),
+            false,
+        ),
+        // probabilities · values
+        (causal_probs(64, rng), Tensor::randn(&[64, 32], rng), false),
+        (
+            causal_probs(64, rng),
+            {
+                let mut b = Tensor::randn(&[64, 32], rng);
+                b.data_mut()[5 * 32..6 * 32].fill(f32::NAN);
+                b.data_mut()[40 * 32..41 * 32].fill(f32::INFINITY);
+                b
+            },
+            false,
+        ),
+        // stage-1 and stage-3 im2col shapes
+        (
+            Tensor::randn(&[1024, 144], rng),
+            Tensor::randn(&[16, 144], rng),
+            true,
+        ),
+        (
+            Tensor::randn(&[64, 576], rng),
+            Tensor::randn(&[64, 576], rng),
+            true,
+        ),
+        // attention scores and context at T = 64 (d_head 32), scores at
+        // T = 128 (d_head 64)
+        (
+            Tensor::randn(&[64, 32], rng),
+            Tensor::randn(&[32, 64], rng),
+            false,
+        ),
+        (
+            Tensor::randn(&[64, 64], rng),
+            Tensor::randn(&[64, 32], rng),
+            false,
+        ),
+        (
+            Tensor::randn(&[128, 64], rng),
+            Tensor::randn(&[64, 128], rng),
+            false,
+        ),
+    ]
+}
+
+/// The model-shaped products equal the seed kernels at every reachable
+/// SIMD level. `force_level` is process-global; the other tests in this
+/// binary read whichever level is active, which every level keeps
+/// correct, so none of them needs to serialize against this one.
+#[test]
+fn exact_profile_is_bit_identical_at_every_level() {
+    let mut rng = Rng::seed_from(41);
+    let prev = qn_simd::SimdLevel::active();
+    for (a, b, transb) in products(&mut rng) {
+        let expect = if transb {
+            reference::matmul_transb(&a, &b)
+        } else {
+            reference::matmul(&a, &b)
+        };
+        for level in qn_simd::available_levels() {
+            qn_simd::force_level(level);
+            let got = if transb {
+                a.matmul_transb(&b)
+            } else {
+                a.matmul(&b)
+            };
+            assert!(
+                bit_identical_nan_aware(&got, &expect),
+                "products must not depend on the SIMD level ({level:?})"
+            );
+        }
+    }
+    qn_simd::force_level(prev);
 }

@@ -14,8 +14,8 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_chunks_mut`/`par_map`/`par_join` |
-//! | [`simd`] | `qn-simd` | vectorized kernel layer: runtime SIMD dispatch + determinism tiers |
+//! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_chunks_mut`/`par_map` |
+//! | [`simd`] | `qn-simd` | vectorized kernel layer: runtime SIMD dispatch, bit-identical at every level |
 //! | [`tensor`] | `qn-tensor` | dense `f32` tensors, matmul, im2col convolution |
 //! | [`linalg`] | `qn-linalg` | symmetric eigendecomposition, spectral top-k |
 //! | [`autograd`] | `qn-autograd` | tape-based reverse-mode differentiation + tape-free eager execution |
