@@ -37,7 +37,7 @@ use crate::ops::bcast_lead;
 use crate::Parameter;
 use crate::PAR_MIN_ELEMS;
 use qn_tensor::{
-    avg_pool2d_into, elemwise, gemm, gemm_batched, im2col_into, max_pool2d_into, BufferPool,
+    avg_pool2d_into, elemwise, gemm, gemm_patches, im2col_into, max_pool2d_into, BufferPool,
     Conv2dSpec, MatMut, MatRef, PoolSpec, Tensor, TensorError,
 };
 use std::sync::Arc;
@@ -209,10 +209,9 @@ pub trait Exec {
     //
     // Composite ops with a default decomposition into the primitives above.
     // The tape uses the defaults (so gradients flow through the recorded
-    // primitives); `EagerExec` overrides `quadratic_neurons`,
-    // `rows_to_nchw` and `elemwise_chain` with single-pass kernels that
-    // skip the intermediate allocations. Both produce bitwise-identical
-    // values.
+    // primitives); `EagerExec` overrides `quadratic_neurons`, `quadratic_conv2d`,
+    // `rows_to_nchw` and `elemwise_chain` with fused kernels that skip the
+    // intermediate tensors. Both produce bitwise-identical values.
 
     /// The quadratic energy `y₂[r, j] = Σᵢ λ[j, i] · f[r, j·k + i]²` of the
     /// paper's efficient neuron: `f` is `[rows, m·k]` (per-neuron feature
@@ -284,6 +283,36 @@ pub trait Exec {
         } else {
             y
         }
+    }
+
+    /// [`quadratic_neurons`](Exec::quadratic_neurons) on every `spec` patch
+    /// of the `[B, C, H, W]` input `x` (`n = C·K·K`): the paper's quadratic
+    /// conv, `[B, m·(k+1), OH, OW]`, or `[B, m, OH, OW]` unless `vectorized`.
+    /// The default runs `im2col`, `quadratic_neurons` and `rows_to_nchw`,
+    /// so the tape records them; `EagerExec` runs the stacked product on
+    /// patches read straight from the image and finishes `y` plane by
+    /// plane, vectorized across positions, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 4-D or on `quadratic_neurons`' shape checks.
+    #[allow(clippy::too_many_arguments)]
+    fn quadratic_conv2d(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+        vectorized: bool,
+    ) -> Var {
+        let (batch, _, h, wd) = self.value(x).dims4();
+        let (oh, ow) = spec.output_hw(h, wd);
+        let cols = self.im2col(x, spec);
+        let y = self.quadratic_neurons(cols, q, lambda, w, b, vectorized);
+        let channels = self.value(y).dims2().1;
+        self.rows_to_nchw(y, batch, oh, ow, channels)
     }
 
     /// Reinterprets patch-major rows `[B·OH·OW, C]` (the output of a dense
@@ -480,7 +509,7 @@ impl Exec for Graph {
 ///   counting allocator. With more threads, each parallel region boxes
 ///   its tasks.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the
-///   im2col patch matrix inside the fused `conv2d`, per-channel `1/σ`
+///   stacked `[wⱼ; Qⱼ]` operand of the quadratic ops, per-channel `1/σ`
 ///   vectors in batch norm) is drawn from — and returned to — the arena's
 ///   [`BufferPool`] ([`EagerExec::with_pool`]; `new` uses the global pool).
 /// - **Parameter snapshots** are recycled across resets exactly as before:
@@ -543,6 +572,25 @@ fn refit_slot<'s>(slot: &'s mut Option<Tensor>, dims: &[usize]) -> &'s mut Tenso
         None => {
             *slot = Some(Tensor::zeros(dims));
             slot.as_mut().expect("just set")
+        }
+    }
+}
+
+/// Finishes one neuron's conv planes: `y ← (y + b) + Σᵢ λᵢ·fᵢ²` over the
+/// `k` planes `f`, summed from `+0.0` in index order like the dense row
+/// pass, in chunks of positions so the loops vectorize without mixing lanes.
+fn finish_y(y: &mut [f32], f: &[f32], lambda: &[f32], bias: f32) {
+    const CHUNK: usize = 8;
+    let lanes = y.len();
+    for (p0, yc) in (0..lanes).step_by(CHUNK).zip(y.chunks_mut(CHUNK)) {
+        let mut energy = [0.0f32; CHUNK];
+        for (fi, &li) in f.chunks_exact(lanes).zip(lambda) {
+            for (e, &fv) in energy.iter_mut().zip(&fi[p0..p0 + yc.len()]) {
+                *e += fv * fv * li;
+            }
+        }
+        for (yv, &e) in yc.iter_mut().zip(&energy) {
+            *yv = (*yv + bias) + e;
         }
     }
 }
@@ -660,6 +708,83 @@ impl EagerExec {
         let out = refit_slot(slot, &nd[..dims.len()]);
         out.data_mut()
             .copy_from_slice(&t.data()[lo * inner..hi * inner]);
+        self.commit()
+    }
+
+    /// The eager quadratic layer on rows `[rows, n]` or, given `spec`, on
+    /// the patches of `[B, C, H, W]`: one product with each neuron's rows
+    /// `[wⱼ; Qⱼ]` stacked writes `x·wⱼ` and `fⱼ` into its output group.
+    fn quadratic_eager(
+        &mut self,
+        x: Var,
+        [q, lambda, w, b]: [Var; 4],
+        vectorized: bool,
+        spec: Option<Conv2dSpec>,
+    ) -> Var {
+        let pool = Arc::clone(&self.pool);
+        let (head, slot) = self.out_slot();
+        let (xv, lv) = (live_val(head, x), live_val(head, lambda));
+        let (qd, wd) = (live_val(head, q).data(), live_val(head, w).data());
+        let (ld, bd) = (lv.data(), live_val(head, b).data());
+        // `lanes` output positions share each neuron group
+        let ((lead, n), lanes, planes) = match spec {
+            None => (xv.dims2(), 1, None),
+            Some(spec) => {
+                let (batch, c, h, wd) = xv.dims4();
+                let (oh, ow) = spec.output_hw(h, wd);
+                ((batch, spec.patch_len(c)), oh * ow, Some((oh, ow)))
+            }
+        };
+        let (m, k) = lv.dims2();
+        assert_eq!(qd.len(), m * k * n, "q must be [{}, {n}]", m * k);
+        assert_eq!(wd.len(), m * n, "w must be [{m}, {n}]");
+        assert_eq!(bd.len(), m, "b must hold {m} biases");
+        let width = m * (k + 1);
+        let mut stacked = BufferPool::take_ref(&pool, width * n);
+        for (j, dst) in stacked.chunks_mut((k + 1) * n).enumerate() {
+            dst[..n].copy_from_slice(&wd[j * n..(j + 1) * n]);
+            dst[n..].copy_from_slice(&qd[j * k * n..(j + 1) * k * n]);
+        }
+        let channels = if vectorized { width } else { m };
+        let out = match planes {
+            None => refit_slot(slot, &[lead, channels]),
+            Some((oh, ow)) => refit_slot(slot, &[lead, channels, oh, ow]),
+        };
+        // the scalar-output form multiplies into scratch, then keeps y
+        let mut scratch = (!vectorized).then(|| BufferPool::take_ref(&pool, lead * width * lanes));
+        let c: &mut [f32] = match scratch.as_deref_mut() {
+            Some(s) => s,
+            None => out.data_mut(),
+        };
+        let stacked_t = MatRef::new(&stacked, width, n).transpose();
+        match spec {
+            None => {
+                gemm(MatMut::new(c, lead, width), xv.mat(), stacked_t);
+                qn_parallel::par_chunks_mut_min(c, width, PAR_MIN_ELEMS, |_, row| {
+                    for (j, group) in row.chunks_mut(k + 1).enumerate() {
+                        let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
+                        let mut energy = 0.0f32;
+                        for (&fi, &li) in f.iter().zip(&ld[j * k..(j + 1) * k]) {
+                            energy += fi * fi * li;
+                        }
+                        *y = (*y + bd[j]) + energy;
+                    }
+                });
+            }
+            Some(spec) => {
+                gemm_patches(c, xv, spec, stacked_t);
+                qn_parallel::par_chunks_mut_min(c, (k + 1) * lanes, PAR_MIN_ELEMS, |g, group| {
+                    let (j, (y, f)) = (g % m, group.split_at_mut(lanes));
+                    finish_y(y, f, &ld[j * k..(j + 1) * k], bd[j]);
+                });
+            }
+        }
+        if let Some(s) = &scratch {
+            let groups = s.chunks((k + 1) * lanes);
+            for (o, group) in out.data_mut().chunks_mut(lanes).zip(groups) {
+                o.copy_from_slice(&group[..lanes]);
+            }
+        }
         self.commit()
     }
 
@@ -1072,14 +1197,8 @@ impl Exec for EagerExec {
     }
 
     fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        // Fused lowering through the shared GEMM core: per sample, the
-        // output plane block `[OC, OH·OW]` is `W [OC, n] @ colsᵀ [n, OH·OW]`
-        // with the im2col transpose as a zero-copy stride swap — the same
-        // arithmetic as the taped im2col → matmul_transb → reshape → permute
-        // pipeline (bit-identical), minus two full-tensor copies. The patch
-        // matrix itself lives in pool-recycled scratch, so the steady state
-        // allocates nothing.
-        let pool = Arc::clone(&self.pool);
+        // per image `patches · Wᵀ`, read from the image and stored into the
+        // planes: the taped im2col → matmul_transb → permute bits, no copies
         let (head, slot) = self.out_slot();
         let xv = live_val(head, x);
         let wv = live_val(head, weight);
@@ -1089,26 +1208,9 @@ impl Exec for EagerExec {
         assert_eq!(kh, spec.kernel, "conv2d kernel mismatch");
         assert_eq!(kw, spec.kernel, "conv2d kernel mismatch");
         let (oh, ow) = spec.output_hw(h, w);
-        let n = c * kh * kw;
-        let hw = oh * ow;
-        // RAII handout: the patch matrix returns to the pool when `cols`
-        // drops, panic paths included
-        let mut cols = BufferPool::take_ref(&pool, b * hw * n);
-        im2col_into(&mut cols, xv, spec);
         let out = refit_slot(slot, &[b, oc, oh, ow]);
-        {
-            let wdata = wv.data(); // [OC, n] row-major
-            gemm_batched(
-                out.data_mut(),
-                b,
-                oc,
-                hw,
-                n,
-                |_| MatRef::new(wdata, oc, n),
-                |bi| MatRef::new(&cols[bi * hw * n..(bi + 1) * hw * n], hw, n).transpose(),
-            );
-        }
-        drop(cols);
+        let wmat = MatRef::new(wv.data(), oc, c * kh * kw).transpose();
+        gemm_patches(out.data_mut(), xv, spec, wmat);
         self.commit()
     }
 
@@ -1232,55 +1334,20 @@ impl Exec for EagerExec {
         b: Var,
         vectorized: bool,
     ) -> Var {
-        let pool = Arc::clone(&self.pool);
-        let (head, slot) = self.out_slot();
-        let (xv, lv) = (live_val(head, x), live_val(head, lambda));
-        let ((rows, n), (m, k)) = (xv.dims2(), lv.dims2());
-        let (qd, wd) = (live_val(head, q).data(), live_val(head, w).data());
-        let (ld, bd) = (lv.data(), live_val(head, b).data());
-        assert_eq!(qd.len(), m * k * n, "q must be [{}, {n}]", m * k);
-        assert_eq!(wd.len(), m * n, "w must be [{m}, {n}]");
-        assert_eq!(bd.len(), m, "b must hold {m} biases");
-        let width = m * (k + 1);
-        // row j(k+1) of the stacked operand is wⱼ, the next k rows are
-        // neuron j's Q rows: the product's columns land interleaved
-        let mut stacked = BufferPool::take_ref(&pool, width * n);
-        for (j, dst) in stacked.chunks_mut((k + 1) * n).enumerate() {
-            dst[..n].copy_from_slice(&wd[j * n..(j + 1) * n]);
-            dst[n..].copy_from_slice(&qd[j * k * n..(j + 1) * k * n]);
-        }
-        let dims = if vectorized { [rows, width] } else { [rows, m] };
-        let out = refit_slot(slot, &dims);
-        // the scalar-output form multiplies into scratch, then compacts
-        let mut scratch = (!vectorized).then(|| BufferPool::take_ref(&pool, rows * width));
-        let c: &mut [f32] = match scratch.as_deref_mut() {
-            Some(s) => s,
-            None => out.data_mut(),
-        };
-        gemm(
-            MatMut::new(c, rows, width),
-            xv.mat(),
-            MatRef::new(&stacked, width, n).transpose(),
-        );
-        qn_parallel::par_chunks_mut_min(c, width, PAR_MIN_ELEMS, |_, row| {
-            for (j, group) in row.chunks_mut(k + 1).enumerate() {
-                let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
-                let lam = &ld[j * k..(j + 1) * k];
-                let mut energy = 0.0f32;
-                for (&fi, &li) in f.iter().zip(lam) {
-                    energy += fi * fi * li;
-                }
-                *y = (*y + bd[j]) + energy;
-            }
-        });
-        if let Some(s) = &scratch {
-            for (orow, row) in out.data_mut().chunks_mut(m).zip(s.chunks(width)) {
-                for (o, group) in orow.iter_mut().zip(row.chunks(k + 1)) {
-                    *o = group[0];
-                }
-            }
-        }
-        self.commit()
+        self.quadratic_eager(x, [q, lambda, w, b], vectorized, None)
+    }
+
+    fn quadratic_conv2d(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+        vectorized: bool,
+    ) -> Var {
+        self.quadratic_eager(x, [q, lambda, w, b], vectorized, Some(spec))
     }
 
     fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
@@ -1549,16 +1616,44 @@ mod tests {
     #[test]
     fn conv2d_matches_tape_exactly() {
         let mut rng = Rng::seed_from(2);
-        let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
-        let w = Tensor::randn(&[5, 3, 3, 3], &mut rng);
-        for spec in [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 0)] {
+        // (input dims, spec, output channels): a same conv and a valid
+        // strided one, the serve model's 3-in, 3-out stem, a 3×3 stride-2
+        // conv, the 1×1 stride-2 projection and batch 3 on a 5×7 image
+        let cases = [
+            ([2, 3, 6, 6], Conv2dSpec::new(3, 1, 1), 5),
+            ([2, 3, 6, 6], Conv2dSpec::new(3, 2, 0), 5),
+            ([1, 3, 32, 32], Conv2dSpec::new(3, 1, 1), 3),
+            ([1, 4, 9, 9], Conv2dSpec::new(3, 2, 1), 8),
+            ([2, 8, 8, 8], Conv2dSpec::new(1, 2, 0), 16),
+            ([3, 2, 5, 7], Conv2dSpec::new(3, 1, 1), 6),
+        ];
+        for (dims, spec, oc) in cases {
+            let c = dims[1];
+            let x = Tensor::randn(&dims, &mut rng);
+            let w = Tensor::randn(&[oc, c, spec.kernel, spec.kernel], &mut rng);
             let (t, e) = both(|cx| {
                 let xv = cx.leaf(x.clone());
                 let wv = cx.leaf(w.clone());
                 cx.conv2d(xv, wv, spec)
             });
-            assert_eq!(t.shape().dims(), e.shape().dims());
-            assert!(t.allclose(&e, 0.0), "fused conv must be bitwise equal");
+            assert!(t.bit_identical(&e), "conv2d {dims:?} {spec:?}");
+            // the quadratic conv with 2 neurons of rank 2, both output forms
+            let n = spec.patch_len(c);
+            let q = Tensor::randn(&[4, n], &mut rng);
+            let lambda = Tensor::randn(&[2, 2], &mut rng);
+            let wl = Tensor::randn(&[2, n], &mut rng);
+            let b = Tensor::randn(&[2], &mut rng);
+            for vectorized in [true, false] {
+                let (t, e) = both(|cx| {
+                    let [xv, qv, lv, wv, bv] =
+                        [&x, &q, &lambda, &wl, &b].map(|v| cx.leaf(v.clone()));
+                    cx.quadratic_conv2d(xv, qv, lv, wv, bv, spec, vectorized)
+                });
+                assert!(
+                    t.bit_identical(&e),
+                    "quadratic_conv2d {dims:?} {spec:?} vectorized {vectorized}"
+                );
+            }
         }
     }
 

@@ -15,10 +15,10 @@
 //! either context.
 //!
 //! The op set is exactly what the quadratic-neuron paper's models need:
-//! dense and im2col convolution primitives, broadcast arithmetic, batched
-//! matmul and softmax for attention, fused batch/layer norm, the elementwise
-//! powers used by quadratic and kervolutional neurons, and a fused
-//! softmax-cross-entropy loss.
+//! dense and conv primitives (im2col on the tape, patches read straight from
+//! the image when eager), broadcast arithmetic, batched matmul and softmax for
+//! attention, fused batch/layer norm, the quadratic neuron layer and conv,
+//! the elementwise powers of kervolutional neurons, and a fused loss.
 //!
 //! # Example
 //!

@@ -3,7 +3,7 @@ use crate::LAMBDA_PARAM_NAME;
 use qn_autograd::{Exec, Parameter, Var};
 use qn_linalg::random_orthonormal;
 use qn_nn::{kaiming_normal, Costs, Module, ParamVisitor};
-use qn_tensor::{Rng, Tensor};
+use qn_tensor::{Conv2dSpec, Rng, Tensor};
 
 /// The paper's efficient quadratic neuron, as a dense layer of `m` neurons
 /// over `n` inputs with decomposition rank `k`.
@@ -234,6 +234,14 @@ impl Module for EfficientQuadraticLinear {
         let y = g.quadratic_neurons(x, q, lambda, w, b, self.vectorized);
         dims[nd - 1] = self.out_features();
         g.reshape(y, &dims[..nd])
+    }
+
+    fn forward_patches(&self, cx: &mut dyn Exec, x: Var, spec: Conv2dSpec) -> Var {
+        let q = cx.param(&self.q);
+        let lambda = cx.param(&self.lambda);
+        let w = cx.param(&self.w);
+        let b = cx.param(&self.b);
+        cx.quadratic_conv2d(x, q, lambda, w, b, spec, self.vectorized)
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {

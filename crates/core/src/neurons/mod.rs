@@ -2,9 +2,10 @@
 //! every comparator family from the paper's Table I.
 //!
 //! All dense layers implement [`qn_nn::Module`] mapping `[B, n] -> [B, out]`;
-//! convolutional forms are obtained with [`PatchConv2d`], which lowers the
-//! input with im2col so that each spatial patch becomes the neuron input
-//! `x` — the deployment scheme of the paper's Fig. 3.
+//! convolutional forms are obtained with [`PatchConv2d`], in which each
+//! spatial patch (im2col, or read straight from the image by the efficient
+//! neuron's eager `Exec::quadratic_conv2d`) becomes the neuron input `x` —
+//! the deployment scheme of the paper's Fig. 3.
 
 mod efficient;
 mod general;

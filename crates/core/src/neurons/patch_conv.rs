@@ -3,9 +3,11 @@ use qn_autograd::{Exec, Var};
 use qn_nn::{Costs, Module, ParamVisitor};
 use qn_tensor::{Conv2dSpec, Rng};
 
-/// Deploys any dense neuron layer as a 2-D convolution by im2col lowering —
-/// the paper's Fig. 3 deployment: each receptive-field patch becomes the
-/// neuron input `x`, and each neuron's outputs become output channels.
+/// Deploys any dense neuron layer as a 2-D convolution — the paper's Fig. 3
+/// deployment: each receptive-field patch becomes the neuron input `x`, and
+/// each neuron's outputs become output channels.
+/// The forward pass is the inner layer's [`Module::forward_patches`]; the
+/// [`EfficientQuadraticLinear`] one reads patches straight from the image.
 ///
 /// For the proposed neuron the `k + 1` outputs of each filter land on the
 /// channel dimension, so a layer with `m` filters produces `m·(k+1)`
@@ -75,16 +77,13 @@ impl<L: Module> PatchConv2d<L> {
 
 impl<L: Module> Module for PatchConv2d<L> {
     fn forward(&self, g: &mut dyn Exec, x: Var) -> Var {
-        let (b, c, h, w) = g.value(x).dims4();
+        let c = g.value(x).dims4().1;
         assert_eq!(
             c, self.in_channels,
             "expected {} channels, got {c}",
             self.in_channels
         );
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let cols = g.im2col(x, self.spec); // [B*OH*OW, n]
-        let y = self.inner.forward(g, cols); // [B*OH*OW, out]
-        g.rows_to_nchw(y, b, oh, ow, self.out_channels)
+        self.inner.forward_patches(g, x, self.spec)
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {

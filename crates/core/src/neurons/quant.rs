@@ -225,16 +225,13 @@ impl QuantizedPatchConv {
 
 impl Module for QuantizedPatchConv {
     fn forward(&self, g: &mut dyn Exec, x: Var) -> Var {
-        let (b, c, h, w) = g.value(x).dims4();
+        let c = g.value(x).dims4().1;
         assert_eq!(
             c, self.in_channels,
             "expected {} channels, got {c}",
             self.in_channels
         );
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let cols = g.im2col(x, self.spec);
-        let y = self.inner.forward(g, cols);
-        g.rows_to_nchw(y, b, oh, ow, self.out_channels)
+        self.inner.forward_patches(g, x, self.spec)
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {

@@ -3,10 +3,17 @@
 //! `EagerExec` runs `Exec::quadratic_neurons` as one GEMM against each
 //! neuron's stacked `[wⱼ; Qⱼ]` rows plus one in-place epilogue pass; the
 //! tape runs the op's default decomposition (`x·Qᵀ`, `x·Wᵀ`,
-//! `weighted_square_sum`, `add_bcast`, `add`, `interleave_last`). The two
-//! must agree in every bit at every SIMD level, at the pool's width and on
-//! one thread, on shapes that reach each path `gemm` can take for the
-//! stacked product, with NaN, ±∞ and −0.0 in the input.
+//! `weighted_square_sum`, `add_bcast`, `add`, `interleave_last`). The
+//! convolutional form runs `Exec::quadratic_conv2d`: eagerly the same
+//! stacked product on patches read straight from the image, stored into
+//! the output planes and finished plane by plane; on the tape im2col, the
+//! decomposition above and `rows_to_nchw`. The two must agree in every bit
+//! at every SIMD level, at the pool's width and on one thread, with NaN,
+//! ±∞ and −0.0 in the input. The dense shapes reach each path `gemm` can
+//! take for the stacked product: it packs only with ≥ 4 rows, ≥ 8 columns
+//! and ≥ 2048 MACs, and splits row bands from 32768 MACs. The patch
+//! operand packs at every shape, including fewer than 4 positions or 8
+//! columns, and splits bands of output positions from 32768 MACs.
 //! (`exec_equivalence.rs` compares bits on tiny random shapes only.) Own
 //! integration binary because `force_level` is process-global.
 
@@ -101,8 +108,7 @@ fn check(layer: &dyn Module, x: &Tensor, what: &str) {
 }
 
 /// `(rows, n, m, k)` of dense cases: the stacked product is
-/// `[rows, n] × [n, m(k+1)]`. `gemm` packs only with ≥ 4 rows, ≥ 8
-/// columns and ≥ 2048 MACs, and splits row bands from 32768 MACs.
+/// `[rows, n] × [n, m(k+1)]`.
 const DENSE: [(usize, usize, usize, usize, &str); 7] = [
     (3, 27, 3, 9, "fallback: 3 rows"),
     (64, 36, 1, 2, "fallback: 3 columns"),
@@ -146,37 +152,93 @@ fn sequence_input_is_bit_identical_to_tape() {
     }
 }
 
+/// `(input dims, conv spec, filters, k, vectorized, what)` of a conv case.
+type ConvCase = ([usize; 4], Conv2dSpec, usize, usize, bool, &'static str);
+
 #[test]
 fn conv_is_bit_identical_to_tape() {
     let mut rng = Rng::seed_from(4);
-    // (input dims, conv spec, filters, k): rows = B·OH·OW
-    let cases: [([usize; 4], Conv2dSpec, usize, usize, &str); 3] = [
+    // the eager op runs the stacked product on the patch operand, which
+    // takes the packed path at every shape, with B·OH·OW patch rows and
+    // m(k+1) columns
+    let cases: [ConvCase; 9] = [
         (
             [1, 2, 5, 5],
             Conv2dSpec::new(3, 2, 1),
             1,
             2,
-            "fallback: 3 columns",
+            true,
+            "3 columns, 9 positions",
         ),
         (
             [2, 3, 6, 6],
             Conv2dSpec::new(3, 1, 1),
             2,
             5,
-            "one packed band",
+            true,
+            "12 columns",
         ),
         (
             [2, 4, 8, 8],
             Conv2dSpec::new(3, 1, 1),
             3,
             9,
-            "packed row bands",
+            true,
+            "30 columns, position bands",
+        ),
+        (
+            [1, 3, 32, 32],
+            Conv2dSpec::new(3, 1, 1),
+            1,
+            2,
+            true,
+            "the serve model's 3-channel k=2 stem",
+        ),
+        (
+            [1, 4, 9, 9],
+            Conv2dSpec::new(3, 2, 1),
+            2,
+            3,
+            true,
+            "3x3 stride 2",
+        ),
+        (
+            [3, 4, 6, 6],
+            Conv2dSpec::new(1, 2, 0),
+            2,
+            3,
+            true,
+            "1x1 stride-2 projection",
+        ),
+        (
+            [3, 2, 5, 7],
+            Conv2dSpec::new(3, 1, 1),
+            2,
+            4,
+            true,
+            "batch 3 on a 5x7 image",
+        ),
+        (
+            [2, 3, 6, 6],
+            Conv2dSpec::new(3, 1, 1),
+            3,
+            4,
+            false,
+            "scalar output",
+        ),
+        (
+            [1, 4, 9, 9],
+            Conv2dSpec::new(3, 2, 1),
+            2,
+            3,
+            false,
+            "scalar output, 3x3 stride 2",
         ),
     ];
-    for (dims, spec, filters, k, what) in cases {
+    for (dims, spec, filters, k, vectorized, what) in cases {
         let n = spec.patch_len(dims[1]);
         let conv: EfficientQuadraticConv2d =
-            PatchConv2d::new(layer(n, filters, k, true, &mut rng), dims[1], spec);
+            PatchConv2d::new(layer(n, filters, k, vectorized, &mut rng), dims[1], spec);
         check(&conv, &edge_input(&dims, &mut rng), &format!("conv {what}"));
     }
 }

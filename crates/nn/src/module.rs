@@ -1,5 +1,5 @@
 use qn_autograd::{Exec, Parameter, Var};
-use qn_tensor::Tensor;
+use qn_tensor::{Conv2dSpec, Tensor};
 use std::sync::RwLock;
 
 /// Cost report for one layer on a given input shape: multiply–accumulate
@@ -97,6 +97,21 @@ pub trait Module: Send + Sync {
     /// via `InferenceSession::try_predict` in `qn-models`, which returns a
     /// `TensorError` instead.
     fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var;
+
+    /// Runs this dense layer on every `spec` patch of the `[B, C, H, W]`
+    /// input `x` (the paper's Fig. 3 conv deployment), giving
+    /// `[B, out, OH, OW]`. The default is [`Exec::im2col`], `forward` on the
+    /// patch rows and [`Exec::rows_to_nchw`]; a layer with a conv op of its
+    /// own overrides it to skip the patch matrix. Panics if `x` is not 4-D
+    /// or its patch length is not the input width.
+    fn forward_patches(&self, cx: &mut dyn Exec, x: Var, spec: Conv2dSpec) -> Var {
+        let (b, _, h, w) = cx.value(x).dims4();
+        let (oh, ow) = spec.output_hw(h, w);
+        let cols = cx.im2col(x, spec); // [B·OH·OW, C·K·K]
+        let y = self.forward(cx, cols); // [B·OH·OW, out]
+        let out = cx.value(y).dims2().1;
+        cx.rows_to_nchw(y, b, oh, ow, out)
+    }
 
     /// Walks this module's parameter tree in a **stable order with stable
     /// names** (see [`ParamVisitor`]). Implementations visit parameters in

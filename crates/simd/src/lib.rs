@@ -107,15 +107,6 @@ impl SimdLevel {
         }
     }
 
-    /// `f32` lanes per vector at this level.
-    pub fn lanes(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 4,
-            SimdLevel::Avx2 => 8,
-        }
-    }
-
     /// The highest level the executing CPU supports (cached after the
     /// first call).
     pub fn detected() -> SimdLevel {
@@ -245,12 +236,5 @@ mod tests {
         assert_eq!(levels[0], SimdLevel::Scalar);
         assert!(levels.windows(2).all(|w| w[0] < w[1]));
         assert!(levels.iter().all(|&l| l <= SimdLevel::detected()));
-    }
-
-    #[test]
-    fn lanes_match_levels() {
-        assert_eq!(SimdLevel::Scalar.lanes(), 1);
-        assert_eq!(SimdLevel::Sse2.lanes(), 4);
-        assert_eq!(SimdLevel::Avx2.lanes(), 8);
     }
 }

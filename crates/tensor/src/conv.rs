@@ -1,10 +1,11 @@
-use crate::{tensor::PAR_MIN_ELEMS, Shape, Tensor};
+use crate::{tensor::PAR_MIN_ELEMS, Tensor};
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
 ///
-/// Used by [`im2col`]/[`col2im`] and by every convolutional layer in the
-/// workspace, including the quadratic-neuron convolutions, so that linear and
-/// quadratic layers share one lowering path.
+/// Every convolutional layer, linear and quadratic, reads its patches with
+/// one spec: through [`gemm_patches`](crate::gemm_patches) straight from
+/// the image (eager linear and efficient quadratic convs), or
+/// [`im2col`]/[`col2im`].
 ///
 /// # Example
 ///
@@ -72,6 +73,11 @@ impl Conv2dSpec {
 /// `(oy, ox)` in image `b`, flattened channel-major. Convolution then becomes
 /// a single matrix multiplication against flattened filters, which is also
 /// exactly the form quadratic neurons need (`x` = one patch row).
+///
+/// The eager linear and efficient quadratic convs read the same rows
+/// straight from the image ([`gemm_patches`](crate::gemm_patches)); the
+/// tape, the int8 twins, the other Table I families and the benchmark's
+/// traced replays still lower through this matrix.
 ///
 /// # Panics
 ///
@@ -189,11 +195,6 @@ pub fn col2im(cols: &Tensor, spec: Conv2dSpec, input_dims: (usize, usize, usize,
         }
     });
     Tensor::from_vec(out, &[b, c, h, w]).expect("col2im sizes are consistent")
-}
-
-#[allow(dead_code)]
-fn shape4(b: usize, c: usize, h: usize, w: usize) -> Shape {
-    Shape::new(&[b, c, h, w])
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! # qn-tensor
 //!
 //! Dense, contiguous, row-major `f32` tensors and the numeric kernels the rest
-//! of the `quadranet` workspace builds on: matrix multiplication, im2col
-//! convolution, pooling, broadcasting helpers and reductions.
+//! of the `quadranet` workspace builds on: matrix multiplication, convolution
+//! (patches packed straight from the image, or im2col for the tape),
+//! pooling, broadcasting helpers and reductions.
 //!
 //! The crate is deliberately small and dependency-free (only `rand` for
 //! initialization) so that the quadratic-neuron library reproduces the paper's
@@ -16,9 +17,9 @@
 //! ([`MatRef::transpose`]) is a stride swap and slicing one batch element out
 //! of a `[N, M, K]` buffer is a subslice — **zero-copy** either way. Every
 //! matrix product in the workspace (`matmul`, `matmul_transa`,
-//! `matmul_transb`, the batched attention products, the im2col product
-//! inside `conv2d`, the `qn-linalg` reconstructions) routes through the one
-//! packed, register-tiled [`gemm`] core behind those views.
+//! `matmul_transb`, the batched attention products, the convolutions, the
+//! `qn-linalg` reconstructions) routes through the one packed,
+//! register-tiled band loop behind [`gemm`] and [`gemm_patches`].
 //!
 //! Two invariants hold everywhere and are enforced by the workspace's
 //! property suites:
@@ -120,7 +121,7 @@ pub use checkpoint::{
 };
 pub use conv::{col2im, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
-pub use mat::{gemm, gemm_batched, reference, MatMut, MatRef};
+pub use mat::{gemm, gemm_batched, gemm_patches, reference, MatMut, MatRef};
 pub use mmap::Mmap;
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,

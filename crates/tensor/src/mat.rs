@@ -1,11 +1,11 @@
 //! Stride-aware matrix views and the packed GEMM core.
 //!
 //! Every matrix product in the workspace — `Tensor::{matmul, matmul_transa,
-//! matmul_transb}`, the batched products behind attention, the im2col
-//! product behind `conv2d`, and the `qn-linalg` reconstructions — bottoms
-//! out in the single [`gemm`] kernel defined here, following the classic
-//! layered BLAS design (Goto & van de Geijn, "Anatomy of High-Performance
-//! Matrix Multiplication"):
+//! matmul_transb}`, the batched products behind attention, the
+//! convolutions, and the `qn-linalg` reconstructions — bottoms out in the
+//! single packed band loop defined here, following the classic layered
+//! BLAS design (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication"):
 //!
 //! - [`MatRef`]/[`MatMut`] describe a matrix as `(data, rows, cols,
 //!   strides)` over a borrowed `f32` slice, so **transposition is a stride
@@ -17,6 +17,10 @@
 //!   `MR × NR` register-tiled micro-kernel with an `NR`-unrolled inner
 //!   loop. Large products are parallelized over disjoint output-row bands
 //!   on the `qn-parallel` pool.
+//! - The band loop is generic over its left operand and destination:
+//!   [`gemm_patches`] packs a conv's tiles straight from the NCHW image
+//!   and stores them transposed into its output planes (the implicit GEMM
+//!   of cuDNN, Chetlur et al., arXiv:1410.0759), with no im2col matrix.
 //!
 //! # Determinism
 //!
@@ -28,16 +32,17 @@
 //! sequential chain — there is **no reassociation** — and each step rounds
 //! the product and then the sum, the seed's `*o += a * b`. So every product
 //! is **bit-identical** to the seed triple-loop kernels (retained in
-//! [`reference`](mod@reference)) at every SIMD level — the property suites
-//! in `crates/tensor/tests/` enforce the equality across shapes, transpose
-//! flags, thread counts and levels.
+//! [`reference`](mod@reference)) at every SIMD level, and a patch product
+//! to `gemm` over the im2col matrix — the property suites in
+//! `crates/tensor/tests/` enforce the equality across shapes, transpose
+//! flags, conv geometries, thread counts and levels.
 //!
 //! No path skips zero coefficients of `A`, and none needs to:
 //! every accumulator starts at `+0.0` and round-to-nearest never turns
 //! `+0.0` into `-0.0`, so adding a `±0.0` product never changes a bit,
 //! while `0 × NaN` and `0 × ∞` propagate NaN as IEEE-754 requires.
 
-use crate::Tensor;
+use crate::{Conv2dSpec, Tensor};
 #[cfg(target_arch = "x86_64")]
 use qn_simd::arch::{Avx2F32, Sse2F32};
 use qn_simd::arch::{ScalarF32, SimdF32};
@@ -364,18 +369,17 @@ fn pack_b(b: MatRef<'_>) -> PackedB {
 }
 
 /// Processes `band_rows` consecutive output rows starting at global row
-/// `first_row`, writing into `cband` (local offsets, `row_stride` apart),
-/// with the micro-kernel instantiated for `level`.
-fn run_band(
-    cband: &mut [f32],
-    row_stride: usize,
+/// `first_row` of `a` (`k` columns), writing them through `c`, with the
+/// micro-kernel instantiated for `level`.
+fn run_band<A: PackA, C: StoreC>(
+    c: &mut C,
     band_rows: usize,
     first_row: usize,
-    a: MatRef<'_>,
+    a: A,
+    k: usize,
     packed: &PackedB,
     level: SimdLevel,
 ) {
-    let k = a.cols;
     // A-tile scratch from this worker thread's cache; every element is
     // overwritten per block (incl. zero padding), so recycled contents
     // never leak.
@@ -387,24 +391,33 @@ fn run_band(
         // ISA.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe {
-            run_band_avx2(
-                cband, row_stride, band_rows, first_row, a, packed, &mut atile,
-            )
+            run_band_avx2(c, band_rows, first_row, a, k, packed, &mut atile)
         },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => unsafe {
-            run_band_sse2(
-                cband, row_stride, band_rows, first_row, a, packed, &mut atile,
-            )
+            run_band_sse2(c, band_rows, first_row, a, k, packed, &mut atile)
         },
         // SAFETY: scalar lanes are plain f32 arithmetic — sound everywhere.
         _ => unsafe {
-            run_band_g::<ScalarF32>(
-                cband, row_stride, band_rows, first_row, a, packed, &mut atile,
-            )
+            run_band_g::<ScalarF32, A, C>(c, band_rows, first_row, a, k, packed, &mut atile)
         },
     }
     scratch::give_f32(atile);
+}
+
+/// The left operand of the band loop, a source of `MR`-row tiles: a
+/// [`MatRef`] for [`gemm`], a conv's [`Patches`] for [`gemm_patches`].
+trait PackA: Copy + Sync {
+    /// Fills `atile[p·MR + ii]` with element `(first + ii, p)`, `p < k`,
+    /// and with `+0.0` for `ii >= mr`.
+    fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize);
+}
+
+impl PackA for MatRef<'_> {
+    #[inline(always)]
+    fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
+        pack_a_block(atile, *self, first, mr, k)
+    }
 }
 
 /// Packs one A block: `atile[p·MR + ii] = A[first + ii, p]`, zero-padded
@@ -438,7 +451,7 @@ fn pack_a_block(atile: &mut [f32], a: MatRef<'_>, first: usize, mr: usize, k: us
     }
 }
 
-/// The packed band loop, generic over the SIMD lane type.
+/// The packed band loop, generic over the SIMD lane type, operand and output.
 ///
 /// Panels are consumed **in pairs** where possible: with `MR = 4` rows ×
 /// 2 panels the kernel keeps `8·(NR/LANES)` independent accumulator
@@ -454,20 +467,19 @@ fn pack_a_block(atile: &mut [f32], a: MatRef<'_>, first: usize, mr: usize, k: us
 /// `#[target_feature]` wrappers selected by [`run_band`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn run_band_g<S: SimdF32>(
-    cband: &mut [f32],
-    row_stride: usize,
+unsafe fn run_band_g<S: SimdF32, A: PackA, C: StoreC>(
+    c: &mut C,
     band_rows: usize,
     first_row: usize,
-    a: MatRef<'_>,
+    a: A,
+    k: usize,
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    let k = a.cols;
     let nv = NR / S::LANES;
     for ib in (0..band_rows).step_by(MR) {
         let mr = MR.min(band_rows - ib);
-        pack_a_block(atile, a, first_row + ib, mr, k);
+        a.pack(atile, first_row + ib, mr, k);
         let atile = &atile[..k * MR];
         let mut jp = 0;
         // Two panels at a time: 2·MR·nv accumulator chains.
@@ -494,9 +506,9 @@ unsafe fn run_band_g<S: SimdF32>(
                 }
             }
             let j0 = jp * NR;
-            store_acc_block(&acc0, cband, row_stride, ib, mr, j0, NR);
+            c.store(&acc0, ib, mr, j0, NR);
             let nr1 = NR.min(packed.n - (j0 + NR));
-            store_acc_block(&acc1, cband, row_stride, ib, mr, j0 + NR, nr1);
+            c.store(&acc1, ib, mr, j0 + NR, nr1);
             jp += 2;
         }
         if jp < packed.panels {
@@ -517,72 +529,113 @@ unsafe fn run_band_g<S: SimdF32>(
             }
             let j0 = jp * NR;
             let nr = NR.min(packed.n - j0);
-            store_acc_block(&acc, cband, row_stride, ib, mr, j0, nr);
+            c.store(&acc, ib, mr, j0, nr);
         }
     }
 }
 
-/// Writes one `MR × NR` vector accumulator block into `cband` at
-/// `(ib.., j0..j0+nr)`.
-///
-/// # Safety
-///
-/// Same ISA contract as [`run_band_g`] (it is only called from it).
-#[inline(always)]
-unsafe fn store_acc_block<S: SimdF32>(
-    acc: &[[S; NR]; MR],
-    cband: &mut [f32],
+/// One `MR × NR` block of vector accumulators.
+type Acc<S> = [[S; NR]; MR];
+
+/// Where the band loop writes its accumulator blocks.
+trait StoreC {
+    /// Writes band rows `i..i + mr` and columns `j..j + nr` of `acc`.
+    ///
+    /// # Safety
+    ///
+    /// The ISA contract of [`run_band_g`], its only caller.
+    unsafe fn store<S: SimdF32>(&mut self, acc: &Acc<S>, i: usize, mr: usize, j: usize, nr: usize);
+}
+
+/// A band of [`gemm`]'s row-major `C`, rows `row_stride` apart.
+struct RowBand<'a> {
+    data: &'a mut [f32],
     row_stride: usize,
-    ib: usize,
-    mr: usize,
-    j0: usize,
-    nr: usize,
-) {
-    let nv = NR / S::LANES;
-    let mut tmp = [0.0f32; NR];
-    for (ii, accrow) in acc.iter().enumerate().take(mr) {
-        let off = (ib + ii) * row_stride + j0;
-        if nr == NR {
-            for (v, av) in accrow.iter().enumerate().take(nv) {
-                av.store(&mut cband[off + v * S::LANES..]);
+}
+
+impl StoreC for RowBand<'_> {
+    #[inline(always)]
+    unsafe fn store<S: SimdF32>(&mut self, acc: &Acc<S>, i: usize, mr: usize, j: usize, nr: usize) {
+        let nv = NR / S::LANES;
+        let mut tmp = [0.0f32; NR];
+        for (ii, accrow) in acc.iter().enumerate().take(mr) {
+            let off = (i + ii) * self.row_stride + j;
+            if nr == NR {
+                for (v, av) in accrow.iter().enumerate().take(nv) {
+                    av.store(&mut self.data[off + v * S::LANES..]);
+                }
+            } else {
+                for (v, av) in accrow.iter().enumerate().take(nv) {
+                    av.store(&mut tmp[v * S::LANES..]);
+                }
+                self.data[off..off + nr].copy_from_slice(&tmp[..nr]);
             }
-        } else {
-            for (v, av) in accrow.iter().enumerate().take(nv) {
-                av.store(&mut tmp[v * S::LANES..]);
+        }
+    }
+}
+
+/// Band rows from `first` of a transposed `C`: `(i, j)` lands at `j·m + i`
+/// of `slab`, the `m`-position output planes. Concurrent bands own disjoint
+/// rows, whose elements interleave, so they share `slab` as a raw pointer.
+#[derive(Clone, Copy)]
+struct ColBand {
+    slab: *mut [f32],
+    m: usize,
+    first: usize,
+}
+
+// SAFETY: `m` and `first` are plain integers; through `slab`, the bands of
+// one product write disjoint rows of a buffer that `gemm_patches` borrows
+// mutably until every band has joined.
+unsafe impl Send for ColBand {}
+unsafe impl Sync for ColBand {}
+
+impl StoreC for ColBand {
+    #[inline(always)]
+    unsafe fn store<S: SimdF32>(&mut self, acc: &Acc<S>, i: usize, mr: usize, j: usize, nr: usize) {
+        let mut tile = [0.0f32; MR * NR];
+        RowBand {
+            data: &mut tile,
+            row_stride: NR,
+        }
+        .store(acc, 0, MR, 0, NR);
+        for jj in 0..nr {
+            let off = (j + jj) * self.m + self.first + i;
+            assert!(off + mr <= self.slab.len(), "store out of bounds");
+            for ii in 0..mr {
+                // SAFETY: in bounds, and no other band writes this row
+                *(self.slab as *mut f32).add(off + ii) = tile[ii * NR + jj];
             }
-            cband[off..off + nr].copy_from_slice(&tmp[..nr]);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_band_avx2(
-    cband: &mut [f32],
-    row_stride: usize,
+unsafe fn run_band_avx2<A: PackA, C: StoreC>(
+    c: &mut C,
     band_rows: usize,
     first_row: usize,
-    a: MatRef<'_>,
+    a: A,
+    k: usize,
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_g::<Avx2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Avx2F32, A, C>(c, band_rows, first_row, a, k, packed, atile)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "sse2")]
-unsafe fn run_band_sse2(
-    cband: &mut [f32],
-    row_stride: usize,
+unsafe fn run_band_sse2<A: PackA, C: StoreC>(
+    c: &mut C,
     band_rows: usize,
     first_row: usize,
-    a: MatRef<'_>,
+    a: A,
+    k: usize,
     packed: &PackedB,
     atile: &mut [f32],
 ) {
-    run_band_g::<Sse2F32>(cband, row_stride, band_rows, first_row, a, packed, atile)
+    run_band_g::<Sse2F32, A, C>(c, band_rows, first_row, a, k, packed, atile)
 }
 
 /// Fallback for products too small (or too skinny) to pack, parallelized
@@ -666,8 +719,9 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     let level = SimdLevel::active();
     let packed = pack_b(b);
     let row_stride = c.row_stride;
-    let band = |cband: &mut [f32], band_rows: usize, first: usize| {
-        run_band(cband, row_stride, band_rows, first, a, &packed, level)
+    let band = |data: &mut [f32], band_rows: usize, first: usize| {
+        let mut dst = RowBand { data, row_stride };
+        run_band(&mut dst, band_rows, first, a, k, &packed, level)
     };
     let blocks = m.div_ceil(MR);
     let threads = qn_parallel::num_threads();
@@ -692,7 +746,7 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
 /// Batch-parallelism is preferred whenever the batch dimension alone can
 /// occupy the pool (each product then runs inline inside its worker) —
 /// [`gemm`]'s internal row-band split is capped at `⌈m/MR⌉` bands, so for
-/// wide short-`m` products (e.g. per-sample conv planes) the batch is the
+/// wide short-`m` products (e.g. per-head attention scores) the batch is the
 /// better axis. Only when there are fewer batches than threads do batches
 /// run sequentially with [`gemm`] parallelizing internally. Either way the
 /// output regions are disjoint and per-element accumulation is sequential,
@@ -737,6 +791,122 @@ pub fn gemm_batched<'a, FA, FB>(
             run(ni, slab);
         }
     }
+}
+
+/// The `[OH·OW, C·K·K]` patch matrix of image `i` of `x`, read from its
+/// planes: the rows that [`im2col`](crate::im2col) writes, `+0.0` at pads.
+#[derive(Clone, Copy)]
+struct Patches<'a> {
+    x: &'a Tensor,
+    i: usize,
+    ow: usize,
+    spec: Conv2dSpec,
+}
+
+impl PackA for Patches<'_> {
+    #[inline(always)]
+    fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
+        let ((_, c, h, w), kernel, stride) = (self.x.dims4(), self.spec.kernel, self.spec.stride);
+        let img = &self.x.data()[self.i * c * h * w..];
+        let pad = self.spec.padding as isize;
+        // receptive-field origin of each tile row
+        let (mut iy0, mut ix0) = ([0isize; MR], [0isize; MR]);
+        for ii in 0..mr {
+            let (oy, ox) = ((first + ii) / self.ow, (first + ii) % self.ow);
+            (iy0[ii], ix0[ii]) = ((oy * stride) as isize - pad, (ox * stride) as isize - pad);
+        }
+        let inside = |v: isize, len: usize| (0..len as isize).contains(&v);
+        // a full stride-1 tile within one output row and inside the image
+        let (y0, x0, atile) = (iy0[0], ix0[0], &mut atile[..k * MR]);
+        let rows_in = iy0[MR - 1] == y0 && inside(y0, (h + 1).saturating_sub(kernel));
+        if mr == MR && stride == 1 && rows_in && inside(x0, (w + 2).saturating_sub(MR + kernel)) {
+            let at = y0 as usize * w + x0 as usize;
+            match kernel {
+                1 => return inner_taps::<1>(atile, img, (h, w), at),
+                3 => return inner_taps::<3>(atile, img, (h, w), at),
+                _ => {}
+            }
+        }
+        let mut taps = atile.chunks_exact_mut(MR);
+        for plane in (0..c).map(|ci| &img[ci * h * w..(ci + 1) * h * w]) {
+            for ky in 0..kernel as isize {
+                for kx in 0..kernel as isize {
+                    let dst = taps.next().expect("k = C·K·K taps");
+                    for (ii, d) in dst.iter_mut().enumerate() {
+                        let (iy, ix) = (iy0[ii] + ky, ix0[ii] + kx);
+                        let hit = ii < mr && inside(iy, h) && inside(ix, w);
+                        *d = if hit {
+                            plane[iy as usize * w + ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The taps of a tile whose receptive fields lie inside the `(h, w)`
+/// planes of `img`, from offset `at`: per `(c, ky)`, `K` windows of `MR`
+/// consecutive floats of one image row.
+#[inline(always)]
+fn inner_taps<const K: usize>(atile: &mut [f32], img: &[f32], (h, w): (usize, usize), at: usize) {
+    for (ci, taps) in atile.chunks_exact_mut(K * K * MR).enumerate() {
+        for (ky, row) in taps.chunks_exact_mut(K * MR).enumerate() {
+            let src = &img[ci * h * w + at + ky * w..][..MR - 1 + K];
+            for (kx, dst) in row.chunks_exact_mut(MR).enumerate() {
+                let dst: &mut [f32; MR] = dst.try_into().expect("MR floats");
+                *dst = src[kx..kx + MR].try_into().expect("MR floats");
+            }
+        }
+    }
+}
+
+/// Convolution on a patch operand: `out[i] ← (patches(x[i]) · b)ᵀ` for each
+/// image of the NCHW `x`, `b` `[C·K·K, N]` (`Wᵀ` for filters `W`), `out`
+/// `[B, N, OH·OW]`. Tiles pack straight from the image into the packed path
+/// at every shape and store transposed into the planes; each element is
+/// the `gemm`-over-[`im2col`](crate::im2col) dot, from `+0.0` in the same
+/// order, so the bits match at any thread count and SIMD level. Large
+/// images split into bands of output positions across the pool.
+///
+/// # Panics
+///
+/// Panics if `x` is not 4-D, `b` does not have `C·K·K` rows or `out`
+/// does not hold `B·N·OH·OW` floats.
+pub fn gemm_patches(out: &mut [f32], x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>) {
+    let (batches, c, h, w) = x.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
+    let (m, k, n) = (oh * ow, spec.patch_len(c), b.cols);
+    assert_eq!(b.rows, k, "gemm_patches: b must have {k} rows");
+    assert_eq!(
+        out.len(),
+        batches * n * m,
+        "gemm_patches: out must be {batches}x{n}x{m}"
+    );
+    if out.is_empty() {
+        return;
+    }
+    let (level, packed, blocks) = (SimdLevel::active(), pack_b(b), m.div_ceil(MR));
+    let (big, threads) = (m * n * k >= PAR_MIN_MACS, qn_parallel::num_threads());
+    let rows_per_band = blocks.div_ceil(if big { threads.min(blocks) } else { 1 }) * MR;
+    for (i, slab) in out.chunks_mut(n * m).enumerate() {
+        let (a, packed) = (Patches { x, i, ow, spec }, &packed);
+        let dst = ColBand { slab, m, first: 0 };
+        let band = move |first: usize| {
+            let (mut dst, rows) = (dst, rows_per_band.min(m - first));
+            dst.first = first;
+            run_band(&mut dst, rows, first, a, k, packed, level)
+        };
+        if rows_per_band >= m {
+            band(0);
+        } else {
+            let tasks = (0..m).step_by(rows_per_band);
+            qn_parallel::par_scope(tasks.map(|f| Box::new(move || band(f)) as _).collect());
+        }
+    }
+    scratch::give_f32(packed.data);
 }
 
 /// The seed naive matmul kernels, retained verbatim (modulo the parallel

@@ -1,0 +1,163 @@
+//! The patch-operand GEMM against `gemm` over an explicit im2col matrix,
+//! bit for bit.
+//!
+//! `gemm_patches` packs each `MR`-row tile straight from the NCHW image and
+//! stores every block transposed into the image's output planes. It must
+//! equal `gemm(im2col(x), b)`, read per image as `[N, OH·OW]`, in every bit
+//! over kernels 1/3/5, strides 1–3, padding 0–2 (padding at or above the
+//! kernel size included), batches 1–3, image widths that are and are not
+//! a multiple of `MR`, output widths 1/3/8/10/30, products with fewer than
+//! `MR` rows or `NR` columns, and images holding NaN, ±∞ and −0.0 — at
+//! every SIMD level, at the pool's width and on one thread. Own
+//! integration binary because `force_level` is process-global.
+
+use qn_tensor::{gemm, gemm_patches, im2col, Conv2dSpec, MatMut, MatRef, Rng, Tensor};
+use std::sync::Mutex;
+
+static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+
+/// NaN matches any NaN (payloads are outside the determinism contract);
+/// every other value, signed zeros and infinities included, must match
+/// bit for bit.
+fn same_bits(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+/// Normal draws with −0.0 at every fifth element and one NaN, +∞ and −∞
+/// each, so most outputs stay finite.
+fn edge_image(dims: &[usize], rng: &mut Rng) -> Tensor {
+    let mut x = Tensor::randn(dims, rng);
+    let d = x.data_mut();
+    let len = d.len();
+    for i in (0..len).step_by(5) {
+        d[i] = -0.0;
+    }
+    for (i, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        d[(7919 * i + 13) % len] = v;
+    }
+    x
+}
+
+/// `[B, N, OH·OW]` from `gemm` over the im2col matrix, transposed per image.
+fn via_im2col(x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>) -> Vec<f32> {
+    let (batches, _, h, w) = x.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
+    let (m, n) = (oh * ow, b.cols());
+    let cols = im2col(x, spec);
+    let mut rows = vec![0.0f32; batches * m * n];
+    gemm(MatMut::new(&mut rows, batches * m, n), cols.mat(), b);
+    let mut out = vec![0.0f32; rows.len()];
+    for i in 0..batches {
+        for pos in 0..m {
+            for j in 0..n {
+                out[(i * n + j) * m + pos] = rows[(i * m + pos) * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// Image side that gives `out` output positions along one axis.
+fn input_side(out: usize, spec: Conv2dSpec) -> usize {
+    ((out - 1) * spec.stride + spec.kernel).saturating_sub(2 * spec.padding)
+}
+
+#[test]
+fn patch_gemm_is_bit_identical_to_im2col_gemm() {
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let prev_level = qn_simd::SimdLevel::active();
+    let mut rng = Rng::seed_from(18);
+    let (mut case, mut ran, mut unaligned_widths, mut banded) = (0usize, 0usize, 0usize, 0usize);
+    for kernel in [1usize, 3, 5] {
+        for stride in 1..=3usize {
+            for padding in 0..=2usize {
+                let spec = Conv2dSpec::new(kernel, stride, padding);
+                for ow in [1usize, 3, 8, 10, 30] {
+                    case += 1;
+                    let oh = 1 + case % 3;
+                    // one extra column where the stride leaves room keeps
+                    // OW but changes the image width
+                    let w = input_side(ow, spec).max(1) + (case % stride);
+                    let h = input_side(oh, spec).max(1);
+                    if spec.output_hw(h, w).1 != ow || w + 2 * padding < kernel {
+                        continue;
+                    }
+                    let batches = 1 + case % 3;
+                    let c = [1usize, 3, 2][case % 3];
+                    let n = [3usize, 8, 10, 17][case % 4];
+                    let k = spec.patch_len(c);
+                    // the product splits into position bands from 32768 MACs
+                    ran += 1;
+                    unaligned_widths += usize::from(!w.is_multiple_of(4));
+                    banded += usize::from(spec.output_hw(h, w).0 * ow * n * k >= 32768);
+                    let x = edge_image(&[batches, c, h, w], &mut rng);
+                    let wt = Tensor::randn(&[n, k], &mut rng);
+                    let b = MatRef::new(wt.data(), n, k).transpose();
+                    let (oh, ow) = spec.output_hw(h, w);
+                    let what = format!(
+                        "x [{batches}, {c}, {h}, {w}], kernel {kernel} stride {stride} \
+                         pad {padding} -> {oh}x{ow}, n {n}"
+                    );
+                    for level in qn_simd::available_levels() {
+                        qn_simd::force_level(level);
+                        let want = via_im2col(&x, spec, b);
+                        let run = || {
+                            let mut out = vec![f32::NAN; want.len()];
+                            gemm_patches(&mut out, &x, spec, b);
+                            out
+                        };
+                        let pooled = run();
+                        let one = qn_parallel::with_max_threads(1, run);
+                        for (got, threads) in [(pooled, "pool"), (one, "one thread")] {
+                            for (e, (&g, &v)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(g, v),
+                                    "{what} at {level:?}, {threads}: element {e} is {g:e} \
+                                     patch vs {v:e} im2col"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    qn_simd::force_level(prev_level);
+    assert!(
+        ran > 100 && unaligned_widths > 50 && banded > 0,
+        "the grid lost its cases"
+    );
+}
+
+#[test]
+fn fully_padded_taps_read_zero() {
+    // a 1×1 kernel with padding 2 on a 1×1 image: every output but the
+    // centre reads only padding and must be +0.0, and every element is
+    // written (the buffer starts as NaN)
+    let x = Tensor::from_vec(vec![2.0], &[1, 1, 1, 1]).unwrap();
+    let spec = Conv2dSpec::new(1, 1, 2);
+    let w = [3.0f32];
+    let mut out = vec![f32::NAN; 25];
+    gemm_patches(&mut out, &x, spec, MatRef::new(&w, 1, 1));
+    for (i, &v) in out.iter().enumerate() {
+        let want: f32 = if i == 12 { 6.0 } else { 0.0 };
+        assert_eq!(v.to_bits(), want.to_bits(), "position {i}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "gemm_patches: b must have 18 rows")]
+fn wrong_patch_length_panics() {
+    let x = Tensor::zeros(&[1, 2, 4, 4]);
+    let w = vec![0.0f32; 8 * 17];
+    let mut out = vec![0.0f32; 8 * 16];
+    gemm_patches(
+        &mut out,
+        &x,
+        Conv2dSpec::new(3, 1, 1),
+        MatRef::new(&w, 17, 8),
+    );
+}

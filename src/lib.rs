@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_chunks_mut`/`par_map` |
 //! | [`simd`] | `qn-simd` | vectorized kernel layer: runtime SIMD dispatch, bit-identical at every level |
-//! | [`tensor`] | `qn-tensor` | dense `f32` tensors, matmul, im2col convolution |
+//! | [`tensor`] | `qn-tensor` | dense `f32` tensors, matmul, convolution on patches packed from the image |
 //! | [`linalg`] | `qn-linalg` | symmetric eigendecomposition, spectral top-k |
 //! | [`autograd`] | `qn-autograd` | tape-based reverse-mode differentiation + tape-free eager execution |
 //! | [`nn`] | `qn-nn` | layers, losses, optimizers, LR schedules |
