@@ -1,101 +1,40 @@
-//! Convolution and pooling ops (im2col lowering shared with quadratic convs).
+//! The convolution's backward pass.
 
-use crate::graph::{Graph, Var};
-use qn_tensor::{
-    avg_pool2d, avg_pool2d_backward, col2im, im2col, max_pool2d, max_pool2d_backward, Conv2dSpec,
-    PoolSpec, Tensor,
-};
+use qn_tensor::{col2im, gemm, im2col, Conv2dSpec, MatMut, MatRef, Tensor};
 
-impl Graph {
-    /// Lowers `[B, C, H, W]` to patch rows `[B·OH·OW, C·K·K]` (differentiable
-    /// im2col). Quadratic convolutions are built on this: the patch row *is*
-    /// the neuron input `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 4-D or smaller than the kernel.
-    pub fn im2col(&mut self, x: Var, spec: Conv2dSpec) -> Var {
-        let dims = self.value(x).dims4();
-        let value = im2col(self.value(x), spec);
-        self.push_ephemeral(
-            value,
-            vec![x.id],
-            Some(Box::new(move |g: Tensor| vec![col2im(&g, spec, dims)])),
-        )
-    }
-
-    /// 2-D convolution of `[B, C, H, W]` with filters `[OC, C, K, K]`,
-    /// producing `[B, OC, OH, OW]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on geometry mismatch.
-    pub fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        let (b, c, h, w) = self.value(x).dims4();
-        let (oc, wc, kh, kw) = self.value(weight).dims4();
-        assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "conv2d kernel mismatch");
-        assert_eq!(kw, spec.kernel, "conv2d kernel mismatch");
-        let (oh, ow) = spec.output_hw(h, w);
-        let cols = self.im2col(x, spec); // [B*OH*OW, C*K*K]
-        let wmat = self.reshape(weight, &[oc, c * kh * kw]);
-        let out = self.matmul_transb(cols, wmat); // [B*OH*OW, OC]
-        let out = self.reshape(out, &[b, oh, ow, oc]);
-        self.permute(out, &[0, 3, 1, 2])
-    }
-
-    /// Max pooling with a square window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 4-D or smaller than the window.
-    pub fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        let dims = self.value(x).dims4();
-        let (value, argmax) = max_pool2d(self.value(x), spec);
-        self.push_ephemeral(
-            value,
-            vec![x.id],
-            Some(Box::new(move |g: Tensor| {
-                vec![max_pool2d_backward(&g, &argmax, dims)]
-            })),
-        )
-    }
-
-    /// Average pooling with a square window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 4-D or smaller than the window.
-    pub fn avg_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        let dims = self.value(x).dims4();
-        let value = avg_pool2d(self.value(x), spec);
-        self.push_ephemeral(
-            value,
-            vec![x.id],
-            Some(Box::new(move |g: Tensor| {
-                vec![avg_pool2d_backward(&g, spec, dims)]
-            })),
-        )
-    }
-
-    /// Global average pooling: `[B, C, H, W] -> [B, C]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 4-D.
-    pub fn global_avg_pool(&mut self, x: Var) -> Var {
-        let (b, c, h, w) = self.value(x).dims4();
-        let spec = PoolSpec::new(h, 1);
-        assert_eq!(h, w, "global_avg_pool expects square feature maps");
-        let pooled = self.avg_pool2d(x, spec); // [B, C, 1, 1]
-        self.reshape(pooled, &[b, c])
-    }
+/// Gradients `[dx, dW]` of `y = conv2d(x, W)` (`[B, OC, OH, OW]`) from
+/// `g = ∂L/∂y`, with the arithmetic and order of the primitive chain the
+/// convolution lowers to — `im2col` → `matmul_transb` with `W` as
+/// `[OC, C·K·K]` → `permute` to NCHW — so each gradient has the chain's
+/// bits: the inverse permute, `dcols = g·W` and `dW = gᵀ·cols` with `cols`
+/// rebuilt by `im2col`, then `dx = col2im(dcols)`.
+pub(crate) fn conv2d_backward(g: Tensor, x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Vec<Tensor> {
+    let (b, oc, oh, ow) = g.dims4();
+    let rows = b * oh * ow;
+    let g = g
+        .permute(&[0, 2, 3, 1])
+        .into_reshaped(&[rows, oc])
+        .expect("conv output shape consistent");
+    let cols = im2col(x, spec);
+    let patch = cols.dims2().1;
+    let mut dcols = Tensor::zeros(&[rows, patch]);
+    gemm(
+        MatMut::new(dcols.data_mut(), rows, patch),
+        g.mat(),
+        MatRef::new(w.data(), oc, patch),
+    );
+    let dw = g
+        .matmul_transa(&cols)
+        .into_reshaped(w.shape().dims())
+        .expect("weight shape consistent");
+    vec![col2im(&dcols, spec, x.dims4()), dw]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck;
+    use crate::{gradcheck, Exec, Graph};
+    use qn_tensor::PoolSpec;
     use qn_tensor::Rng;
 
     #[test]

@@ -1,11 +1,13 @@
-//! Dual-mode execution: the [`Exec`] context abstraction and the tape-free
-//! [`EagerExec`] arena.
+//! Dual-mode execution: the [`Exec`] context abstraction and the
+//! [`EagerExec`] arena, which holds the one forward implementation of every
+//! op.
 //!
 //! Every layer's forward pass is written once against [`Exec`]. Running it
-//! on a [`Graph`] records the differentiation tape (training); running it on
-//! an [`EagerExec`] evaluates the same arithmetic eagerly with **no** tape
-//! nodes, no backward closures and none of the operand clones the tape
-//! retains for the backward pass (inference/serving).
+//! on an [`EagerExec`] evaluates it with no tape (inference/serving).
+//! Running it on a [`Graph`] records the differentiation tape (training):
+//! the graph owns an `EagerExec` and takes each op's value from the eager op
+//! of the same name, then records a node whose backward closure reads the
+//! op's operands and output from that arena when it runs.
 //!
 //! [`Var`] handles are indices into whichever context produced them; a `Var`
 //! from one context is meaningless in another.
@@ -31,9 +33,11 @@
 //! # }
 //! ```
 
-use crate::graph::{Graph, Var};
+use crate::graph::Var;
 use crate::nnops::{layer_norm_infer_into, softmax_rows_inplace};
 use crate::ops::bcast_lead;
+#[cfg(doc)]
+use crate::Graph;
 use crate::Parameter;
 use crate::PAR_MIN_ELEMS;
 use qn_tensor::{
@@ -82,13 +86,15 @@ pub enum ChainStage<'a> {
 /// Execution context for a forward pass: either the differentiation tape
 /// ([`Graph`]) or the allocation-light eager arena ([`EagerExec`]).
 ///
-/// The op set mirrors [`Graph`]'s inherent forward ops one-to-one; both
-/// implementations produce bitwise-identical values (the equivalence
-/// property suites in `qn-nn` and `qn-core` assert this for every layer and
-/// neuron family). Ops panic on shape mismatch exactly like their taped
-/// counterparts — see each [`Graph`] method for the per-op contract.
+/// [`EagerExec`] computes every primitive op; [`Graph`] takes each value
+/// from it and records the backward pass, so the two agree bit for bit by
+/// construction. The composites below keep default decompositions into the
+/// primitives, which the tape records and `EagerExec` overrides with fused
+/// kernels of the same bits (the equivalence suites in `qn-nn` and `qn-core`
+/// assert this for every layer and neuron family). Each op panics on the
+/// misuse its `# Panics` section names, in both contexts.
 ///
-/// Loss functions (`softmax_cross_entropy*`) and [`Graph::backward`] remain
+/// Loss functions (`softmax_cross_entropy*`) and [`Graph::backward`] are
 /// tape-only: they exist to produce gradients.
 pub trait Exec {
     /// Registers an input/constant tensor, returning its handle.
@@ -119,9 +125,14 @@ pub trait Exec {
     fn neg(&mut self, a: Var) -> Var {
         self.scale(a, -1.0)
     }
-    /// Elementwise square.
+    /// Elementwise square `x²` (the `(·)⊙²` operation of Fan et al.).
     fn square(&mut self, a: Var) -> Var;
-    /// Elementwise integer power `xᵖ` (`p >= 1`).
+    /// Elementwise integer power `xᵖ` — the polynomial kernel of
+    /// kervolutional neurons.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p < 1` (use a constant instead).
     fn powi(&mut self, a: Var, p: i32) -> Var;
     /// Rectified linear unit.
     fn relu(&mut self, a: Var) -> Var;
@@ -130,22 +141,57 @@ pub trait Exec {
     /// Logistic sigmoid.
     fn sigmoid(&mut self, a: Var) -> Var;
 
-    /// Adds `b` (a trailing-suffix shape of `a`) broadcast over leading dims.
+    /// Adds `b` (whose shape is a trailing suffix of `a`'s shape) to `a`,
+    /// broadcasting over the leading dims. Covers `[B, M] + [M]` biases and
+    /// `[B, T, D] + [D]` affine shifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`'s shape is not a trailing suffix of `a`'s.
     fn add_bcast(&mut self, a: Var, b: Var) -> Var;
-    /// Multiplies by `b` broadcast over leading dims (suffix rule).
+    /// Multiplies `a` by `b` broadcast over the leading dims (shape-suffix
+    /// rule as in [`add_bcast`](Exec::add_bcast)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`'s shape is not a trailing suffix of `a`'s.
     fn mul_bcast(&mut self, a: Var, b: Var) -> Var;
     /// Adds a per-channel bias `[C]` to a `[B, C, H, W]` activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or width mismatch.
     fn add_channel(&mut self, a: Var, bias: Var) -> Var;
     /// Multiplies a `[B, C, H, W]` activation by a per-channel scale `[C]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or width mismatch.
     fn mul_channel(&mut self, a: Var, scale: Var) -> Var;
 
-    /// Reshapes to `dims` (element count must match).
+    /// Reshapes to `dims`; a same-shape reshape returns `a` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if element counts differ.
     fn reshape(&mut self, a: Var, dims: &[usize]) -> Var;
-    /// Permutes axes.
+    /// Permutes axes; the backward pass applies the inverse permutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axes` is not a permutation.
     fn permute(&mut self, a: Var, axes: &[usize]) -> Var;
     /// Concatenates nodes along `axis`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or shapes are incompatible.
     fn concat(&mut self, parts: &[Var], axis: usize) -> Var;
     /// Copies the half-open `[start, end)` range of `axis`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
     fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Var;
 
     /// Sum of all elements, as a `[1]` tensor.
@@ -157,6 +203,10 @@ pub trait Exec {
         self.scale(s, 1.0 / n)
     }
     /// Sums over `axis`, removing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axis` is out of range.
     fn sum_axis(&mut self, a: Var, axis: usize) -> Var;
     /// Mean over `axis`, removing it.
     fn mean_axis(&mut self, a: Var, axis: usize) -> Var {
@@ -166,31 +216,78 @@ pub trait Exec {
     }
 
     /// Matrix product `a @ b` of `[M, K] × [K, N]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or inner-dimension mismatch.
     fn matmul(&mut self, a: Var, b: Var) -> Var;
-    /// Matrix product `a @ bᵀ` of `[M, K] × [N, K]ᵀ`.
+    /// Matrix product `a @ bᵀ` of `[M, K] × [N, K]ᵀ` — used when weights are
+    /// stored row-major as `[out, in]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or trailing-dimension mismatch.
     fn matmul_transb(&mut self, a: Var, b: Var) -> Var;
-    /// Batched matrix product of `[N, M, K] × [N, K, P]`.
+    /// Batched matrix product of `[N, M, K] × [N, K, P]` (attention scores
+    /// and context aggregation).
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or dimension mismatch.
     fn bmm(&mut self, a: Var, b: Var) -> Var;
 
-    /// Lowers `[B, C, H, W]` to patch rows `[B·OH·OW, C·K·K]`.
+    /// Lowers `[B, C, H, W]` to patch rows `[B·OH·OW, C·K·K]`. Quadratic
+    /// convolutions are built on this: the patch row *is* the neuron input
+    /// `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D or smaller than the kernel.
     fn im2col(&mut self, x: Var, spec: Conv2dSpec) -> Var;
-    /// 2-D convolution of `[B, C, H, W]` with filters `[OC, C, K, K]`.
+    /// 2-D convolution of `[B, C, H, W]` with filters `[OC, C, K, K]`,
+    /// producing `[B, OC, OH, OW]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on geometry mismatch.
     fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var;
     /// Max pooling with a square window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D or smaller than the window.
     fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var;
     /// Average pooling with a square window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D or smaller than the window.
     fn avg_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var;
     /// Global average pooling: `[B, C, H, W] -> [B, C]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D or its feature maps are not square.
     fn global_avg_pool(&mut self, x: Var) -> Var;
 
     /// Numerically-stable softmax over the last axis.
     fn softmax_last(&mut self, x: Var) -> Var;
-    /// Layer normalization over the last axis with affine `gamma`/`beta`.
+    /// Layer normalization over the last axis with affine parameters
+    /// `gamma`/`beta` of shape `[D]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trailing dim of `x` differs from `gamma`/`beta`.
     fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var;
-    /// Batch normalization over `[B, C, H, W]`. In training mode (tape only)
-    /// returns the batch statistics for the caller's running-stat update; in
+    /// Batch normalization over `[B, C, H, W]` with per-channel affine
+    /// parameters. In training mode (tape only) normalizes with the batch
+    /// statistics and returns them for the caller's running-stat update; in
     /// inference mode normalizes with the provided running statistics and
     /// returns `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or channel-width mismatch.
     fn batch_norm2d(
         &mut self,
         x: Var,
@@ -200,9 +297,19 @@ pub trait Exec {
         running_var: &Tensor,
         eps: f32,
     ) -> (Var, Option<(Tensor, Tensor)>);
-    /// Embedding lookup: gathers rows of `weight` (`[V, D]`) by token id.
+    /// Embedding lookup: gathers rows of `weight` (`[V, D]`) by token id,
+    /// returning `[ids.len(), D]`. The backward pass scatter-adds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is out of range.
     fn embedding(&mut self, weight: Var, ids: &[usize]) -> Var;
-    /// Inverted dropout; identity in inference mode.
+    /// Inverted dropout with keep-scale `1/(1-p)`; returns `x` itself in
+    /// inference mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1)`.
     fn dropout(&mut self, x: Var, p: f32) -> Var;
 
     // ----- fused composites -----------------------------------------------
@@ -364,138 +471,8 @@ pub trait Exec {
     }
 }
 
-impl Exec for Graph {
-    fn leaf(&mut self, t: Tensor) -> Var {
-        Graph::leaf(self, t)
-    }
-    fn param(&mut self, p: &Parameter) -> Var {
-        Graph::param(self, p)
-    }
-    fn value(&self, v: Var) -> &Tensor {
-        Graph::value(self, v)
-    }
-    fn is_training(&self) -> bool {
-        Graph::is_training(self)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Graph::add(self, a, b)
-    }
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        Graph::sub(self, a, b)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        Graph::mul(self, a, b)
-    }
-    fn scale(&mut self, a: Var, s: f32) -> Var {
-        Graph::scale(self, a, s)
-    }
-    fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        Graph::add_scalar(self, a, s)
-    }
-    fn neg(&mut self, a: Var) -> Var {
-        Graph::neg(self, a)
-    }
-    fn square(&mut self, a: Var) -> Var {
-        Graph::square(self, a)
-    }
-    fn powi(&mut self, a: Var, p: i32) -> Var {
-        Graph::powi(self, a, p)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        Graph::relu(self, a)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        Graph::tanh(self, a)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        Graph::sigmoid(self, a)
-    }
-    fn add_bcast(&mut self, a: Var, b: Var) -> Var {
-        Graph::add_bcast(self, a, b)
-    }
-    fn mul_bcast(&mut self, a: Var, b: Var) -> Var {
-        Graph::mul_bcast(self, a, b)
-    }
-    fn add_channel(&mut self, a: Var, bias: Var) -> Var {
-        Graph::add_channel(self, a, bias)
-    }
-    fn mul_channel(&mut self, a: Var, scale: Var) -> Var {
-        Graph::mul_channel(self, a, scale)
-    }
-    fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
-        Graph::reshape(self, a, dims)
-    }
-    fn permute(&mut self, a: Var, axes: &[usize]) -> Var {
-        Graph::permute(self, a, axes)
-    }
-    fn concat(&mut self, parts: &[Var], axis: usize) -> Var {
-        Graph::concat(self, parts, axis)
-    }
-    fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Var {
-        Graph::slice_axis(self, a, axis, start, end)
-    }
-    fn sum_all(&mut self, a: Var) -> Var {
-        Graph::sum_all(self, a)
-    }
-    fn mean_all(&mut self, a: Var) -> Var {
-        Graph::mean_all(self, a)
-    }
-    fn sum_axis(&mut self, a: Var, axis: usize) -> Var {
-        Graph::sum_axis(self, a, axis)
-    }
-    fn mean_axis(&mut self, a: Var, axis: usize) -> Var {
-        Graph::mean_axis(self, a, axis)
-    }
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        Graph::matmul(self, a, b)
-    }
-    fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
-        Graph::matmul_transb(self, a, b)
-    }
-    fn bmm(&mut self, a: Var, b: Var) -> Var {
-        Graph::bmm(self, a, b)
-    }
-    fn im2col(&mut self, x: Var, spec: Conv2dSpec) -> Var {
-        Graph::im2col(self, x, spec)
-    }
-    fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        Graph::conv2d(self, x, weight, spec)
-    }
-    fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        Graph::max_pool2d(self, x, spec)
-    }
-    fn avg_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        Graph::avg_pool2d(self, x, spec)
-    }
-    fn global_avg_pool(&mut self, x: Var) -> Var {
-        Graph::global_avg_pool(self, x)
-    }
-    fn softmax_last(&mut self, x: Var) -> Var {
-        Graph::softmax_last(self, x)
-    }
-    fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        Graph::layer_norm(self, x, gamma, beta, eps)
-    }
-    fn batch_norm2d(
-        &mut self,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        running_mean: &Tensor,
-        running_var: &Tensor,
-        eps: f32,
-    ) -> (Var, Option<(Tensor, Tensor)>) {
-        Graph::batch_norm2d(self, x, gamma, beta, running_mean, running_var, eps)
-    }
-    fn embedding(&mut self, weight: Var, ids: &[usize]) -> Var {
-        Graph::embedding(self, weight, ids)
-    }
-    fn dropout(&mut self, x: Var, p: f32) -> Var {
-        Graph::dropout(self, x, p)
-    }
-}
-
-/// Tape-free eager execution arena for inference.
+/// Tape-free eager execution arena: the inference path, and the store of
+/// every [`Graph`]'s forward values.
 ///
 /// Holds only the computed activation tensors — no gradients, parents or
 /// backward closures — and recycles **everything** across requests:
@@ -532,11 +509,11 @@ pub struct EagerExec {
     /// `live` are spare tensors from the previous pass awaiting refit.
     /// `None` marks a slot whose tensor was moved out (`take`, or a
     /// parameter snapshot reclaimed by `reset`).
-    values: Vec<Option<Tensor>>,
+    pub(crate) values: Vec<Option<Tensor>>,
     /// Number of live nodes in the current pass.
     live: usize,
     /// Scratch-buffer pool (see the type-level docs).
-    pool: Arc<BufferPool>,
+    pub(crate) pool: Arc<BufferPool>,
     /// `(parameter handle, version, snapshot)` of parameters not currently
     /// in the arena. Holding the handle keeps the storage alive, so
     /// identity can never be recycled to a different parameter (no
@@ -1580,6 +1557,7 @@ impl Exec for EagerExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Graph;
     use qn_tensor::Rng;
 
     /// Runs `f` on both contexts and asserts identical outputs.

@@ -73,6 +73,7 @@ pub fn gradcheck_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Exec;
     use qn_tensor::Rng;
 
     #[test]

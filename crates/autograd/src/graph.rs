@@ -1,43 +1,43 @@
-use crate::Parameter;
+use crate::{EagerExec, Exec, Parameter};
 use qn_tensor::{BufferPool, Rng, Tensor};
 use std::sync::Arc;
 
-/// Handle to a node on a [`Graph`] tape.
+/// Handle to a value recorded by an [`Exec`] context.
 ///
-/// `Var` is a cheap copyable index; all operations live on [`Graph`]
+/// `Var` is a cheap copyable index; the ops are [`Exec`] methods
 /// (`g.add(a, b)`, `g.matmul(a, b)`, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var {
     pub(crate) id: usize,
 }
 
-/// Backward functions run **once**, consuming the node's upstream gradient
-/// by value — so derivatives that only rescale or mask the gradient (the
-/// activation family) rewrite it in place via `zip_inplace` instead of
-/// allocating a fresh mask tensor.
-pub(crate) type BackwardFn = Box<dyn FnOnce(Tensor) -> Vec<Tensor>>;
+/// A node's backward function. It runs **once**, consuming the node's
+/// upstream gradient by value — so derivatives that only rescale or mask the
+/// gradient (the activation family) rewrite it in place — and reads the
+/// node's operands and output from the graph's arena, which still holds
+/// every value up to the node's own when it runs.
+type BackwardFn = Box<dyn FnOnce(Tensor, &EagerExec) -> Vec<Tensor>>;
 
-pub(crate) struct Node {
-    /// Forward value. `None` once reclaimed into the attached buffer pool
-    /// (only ever happens for ops pushed as *ephemeral*, during a pooled
-    /// backward sweep).
-    pub value: Option<Tensor>,
-    pub grad: Option<Tensor>,
-    pub parents: Vec<usize>,
-    pub backward: Option<BackwardFn>,
-    /// Whether the stored `value` must survive the backward sweep. `true`
-    /// (the conservative default of [`Graph::push`]) for leaves, parameter
-    /// bindings and any op that does not explicitly opt out;
-    /// [`Graph::push_ephemeral`] marks ops whose backward closure captures
-    /// everything it needs, letting a pooled sweep recycle the activation.
-    pub keep_value: bool,
+struct Node {
+    grad: Option<Tensor>,
+    parents: Vec<usize>,
+    /// `None` for leaves (inputs and parameter bindings), and once run.
+    backward: Option<BackwardFn>,
 }
 
 /// A single forward pass recorded as a differentiation tape.
 ///
 /// Create one `Graph` per training step, feed inputs with [`Graph::leaf`]
 /// and parameters with [`Graph::param`], build the computation through the
-/// op methods, then call [`Graph::backward`] on a scalar output.
+/// [`Exec`] ops, then call [`Graph::backward`] on a scalar output.
+///
+/// The forward values live in an [`EagerExec`] arena that the graph owns:
+/// each op takes its value from the eager op of the same name, so the tape
+/// and the inference path share one forward implementation. Var `i` is
+/// arena slot `i`, and tape node `i` keeps only its gradient, its parents
+/// and a backward closure that reads its operands and output from the arena
+/// when it runs. An op that hands back an existing var (a same-shape
+/// `reshape`, an identity `dropout`) records no node.
 ///
 /// The graph carries a `training` flag (consulted by dropout and batch
 /// norm) and its own [`Rng`] so stochastic layers are reproducible.
@@ -45,23 +45,28 @@ pub(crate) struct Node {
 /// # Buffer recycling
 ///
 /// With a [`BufferPool`] attached ([`Graph::set_pool`] /
-/// [`Graph::training_pooled`]), the backward sweep returns to the pool:
-/// each intermediate activation whose op declared its value *not* needed by
-/// the backward pass (per-op saved-for-backward declarations — every
-/// built-in op's closure captures its own operands, so all of them opt in;
-/// the conservative default for new ops is to keep), and each distributed
-/// gradient buffer once accumulated. Step `N+1`'s pooled consumers (the
-/// GEMM packing scratch, `EagerExec` arenas, `Tensor::from_pooled` call
-/// sites) then reuse step `N`'s buffers instead of hitting the allocator.
-/// After a pooled backward, [`Graph::value`] of a reclaimed intermediate
-/// panics — read intermediate values before calling `backward`, or leave
-/// the pool unattached (the default, which reclaims nothing).
+/// [`Graph::training_pooled`]), the backward sweep returns to the pool each
+/// op's value once the op's own closure ran — a closure reads only its own
+/// value and earlier ones, so no later step of the sweep needs it — and
+/// each distributed gradient buffer once accumulated. The loss the sweep
+/// starts from, every leaf and every parameter binding stay readable.
+/// Step `N+1`'s pooled consumers (the GEMM packing scratch, `EagerExec`
+/// arenas, `Tensor::from_pooled` call sites) then reuse step `N`'s buffers
+/// instead of hitting the allocator. After a pooled backward,
+/// [`Graph::value`] of an op the gradient reached panics — read
+/// intermediate values before calling `backward`, or leave the pool
+/// unattached (the default, which reclaims nothing).
 pub struct Graph {
-    pub(crate) nodes: Vec<Node>,
+    /// Forward values: var `i` is slot `i`.
+    pub(crate) eager: EagerExec,
+    /// Tape: node `i` belongs to var `i`.
+    nodes: Vec<Node>,
     bindings: Vec<(usize, Parameter)>,
     training: bool,
     pool: Option<Arc<BufferPool>>,
     pub(crate) rng: Rng,
+    /// Set by [`Graph::backward`], which consumes the closures.
+    swept: bool,
 }
 
 impl Default for Graph {
@@ -74,22 +79,22 @@ impl Graph {
     /// Creates an inference-mode graph (training features disabled).
     pub fn new() -> Self {
         Graph {
+            eager: EagerExec::new(),
             nodes: Vec::new(),
             bindings: Vec::new(),
             training: false,
             pool: None,
             rng: Rng::seed_from(0),
+            swept: false,
         }
     }
 
     /// Creates a training-mode graph with a seeded RNG for stochastic ops.
     pub fn training(seed: u64) -> Self {
         Graph {
-            nodes: Vec::new(),
-            bindings: Vec::new(),
             training: true,
-            pool: None,
             rng: Rng::seed_from(seed),
+            ..Graph::new()
         }
     }
 
@@ -97,30 +102,29 @@ impl Graph {
     /// intermediate buffers into `pool` (see the type-level docs).
     pub fn training_pooled(seed: u64, pool: Arc<BufferPool>) -> Self {
         let mut g = Graph::training(seed);
-        g.pool = Some(pool);
+        g.set_pool(pool);
         g
     }
 
-    /// Attaches a buffer pool: the backward sweep will reclaim ephemeral
-    /// activation values and spent gradient buffers into it (see the
-    /// type-level docs). Without a pool (the default), nothing is
-    /// reclaimed and every value stays readable after `backward`.
+    /// Attaches a buffer pool: the backward sweep will reclaim op values
+    /// and spent gradient buffers into it, and the arena draws its kernel
+    /// scratch from it (see the type-level docs). Without a pool (the
+    /// default), nothing is reclaimed and every value stays readable after
+    /// `backward`.
     pub fn set_pool(&mut self, pool: Arc<BufferPool>) {
+        self.eager.pool = Arc::clone(&pool);
         self.pool = Some(pool);
     }
 
     /// Consumes the graph, returning **every** remaining tensor buffer —
-    /// node values, gradients — to `pool`. Call at the end of a training
-    /// step so the next step's pooled allocations reuse this step's
-    /// storage.
+    /// values, gradients — to `pool`. Call at the end of a training step so
+    /// the next step's pooled allocations reuse this step's storage.
     pub fn recycle_into(self, pool: &BufferPool) {
-        for node in self.nodes {
-            if let Some(v) = node.value {
-                v.into_pool(pool);
-            }
-            if let Some(g) = node.grad {
-                g.into_pool(pool);
-            }
+        for v in self.eager.values.into_iter().flatten() {
+            v.into_pool(pool);
+        }
+        for g in self.nodes.into_iter().filter_map(|n| n.grad) {
+            g.into_pool(pool);
         }
     }
 
@@ -141,78 +145,64 @@ impl Graph {
 
     /// Records a leaf holding `value` (an input or constant).
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.push(value, vec![], None)
+        let v = self.eager.leaf(value);
+        self.push_node(v, Vec::new(), None)
     }
 
     /// Records a leaf bound to a persistent [`Parameter`]; after
     /// [`Graph::backward`] the leaf's gradient is accumulated into the
     /// parameter's `.grad()` storage.
     pub fn param(&mut self, p: &Parameter) -> Var {
-        let v = self.leaf(p.value());
+        let v = self.eager.param(p);
         self.bindings.push((v.id, p.clone()));
-        v
+        self.push_node(v, Vec::new(), None)
     }
 
-    /// Value of a node.
+    /// Value of a var.
     ///
     /// # Panics
     ///
     /// Panics if the value was reclaimed into an attached buffer pool by a
     /// pooled backward sweep (see the type-level docs).
     pub fn value(&self, v: Var) -> &Tensor {
-        self.nodes[v.id]
-            .value
+        self.eager.values[v.id]
             .as_ref()
             .expect("node value was reclaimed into the buffer pool during backward")
     }
 
-    /// Gradient of a node, if backward has reached it. After the sweep,
+    /// Gradient of a var, if backward has reached it. After the sweep,
     /// gradients remain available for **leaves** (inputs and parameter
-    /// bindings); an intermediate op's gradient is consumed by its own
-    /// backward function.
+    /// bindings); an op's gradient is consumed by its own backward function.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.id].grad.as_ref()
     }
 
-    /// Records a node whose `value` is kept through a pooled backward sweep
-    /// — the conservative default for ops that do not declare otherwise.
-    pub(crate) fn push(
+    /// Records the node of the op whose value the arena just produced as
+    /// `out` (by an eager op, or by `eager.leaf` for the values the tape
+    /// computes itself), with `parents` as the operands `backward` returns
+    /// gradients for, in order. An `out` that is an existing var (the op
+    /// returned its input) records nothing.
+    pub(crate) fn record(
         &mut self,
-        value: Tensor,
-        parents: Vec<usize>,
-        backward: Option<BackwardFn>,
+        out: Var,
+        parents: &[Var],
+        backward: impl FnOnce(Tensor, &EagerExec) -> Vec<Tensor> + 'static,
     ) -> Var {
-        self.push_node(value, parents, backward, true)
+        if out.id < self.nodes.len() {
+            return out;
+        }
+        let parents = parents.iter().map(|p| p.id).collect();
+        self.push_node(out, parents, Some(Box::new(backward)))
     }
 
-    /// Records a node declaring that its stored `value` is **not** read by
-    /// its backward function (the closure captures everything it needs), so
-    /// a pooled sweep may recycle the activation buffer.
-    pub(crate) fn push_ephemeral(
-        &mut self,
-        value: Tensor,
-        parents: Vec<usize>,
-        backward: Option<BackwardFn>,
-    ) -> Var {
-        self.push_node(value, parents, backward, false)
-    }
-
-    fn push_node(
-        &mut self,
-        value: Tensor,
-        parents: Vec<usize>,
-        backward: Option<BackwardFn>,
-        keep_value: bool,
-    ) -> Var {
-        let id = self.nodes.len();
+    fn push_node(&mut self, v: Var, parents: Vec<usize>, backward: Option<BackwardFn>) -> Var {
+        assert_eq!(v.id, self.nodes.len(), "one arena slot per tape node");
         self.nodes.push(Node {
-            value: Some(value),
             grad: None,
             parents,
             backward,
-            keep_value,
         });
-        Var { id }
+        v
     }
 
     /// Runs reverse-mode differentiation from a scalar output, then flushes
@@ -220,40 +210,15 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not a single-element tensor.
+    /// Panics if `out` is not a single-element tensor, and if `backward`
+    /// already ran on this graph: the first call consumed every backward
+    /// closure and flushed the parameter gradients, so a second would
+    /// flush them again.
     pub fn backward(&mut self, out: Var) {
-        self.backward_sweep(out);
-        for (id, p) in &self.bindings {
-            if let Some(g) = &self.nodes[*id].grad {
-                p.accumulate_grad(g);
-            }
-        }
-    }
-
-    /// Runs reverse-mode differentiation like [`Graph::backward`], but
-    /// instead of flushing into the bound [`Parameter`]s, returns each
-    /// binding's gradient as `(parameter, gradient)` pairs in binding
-    /// order (a weight shared across several leaves yields one pair per
-    /// leaf).
-    ///
-    /// This is the data-parallel training primitive: worker shards collect
-    /// their gradients independently, and the caller accumulates them in a
-    /// fixed shard order so the summation stays deterministic — flushing
-    /// concurrently from several threads would make the floating-point
-    /// accumulation order (and thus the result bits) depend on scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not a single-element tensor.
-    pub fn backward_collect(&mut self, out: Var) -> Vec<(Parameter, Tensor)> {
-        self.backward_sweep(out);
-        self.bindings
-            .iter()
-            .filter_map(|(id, p)| self.nodes[*id].grad.clone().map(|g| (p.clone(), g)))
-            .collect()
-    }
-
-    fn backward_sweep(&mut self, out: Var) {
+        assert!(
+            !self.swept,
+            "backward called twice on one graph: the first call already consumed the tape and flushed the parameter gradients"
+        );
         let out_value = self.value(out);
         assert_eq!(
             out_value.numel(),
@@ -262,6 +227,7 @@ impl Graph {
             out_value.shape()
         );
         let seed = Tensor::ones(out_value.shape().dims());
+        self.swept = true;
         self.nodes[out.id].grad = Some(seed);
         let pool = self.pool.clone();
         for i in (0..=out.id).rev() {
@@ -275,7 +241,7 @@ impl Graph {
             // defensive clone, and in-place derivatives can reuse it.
             let grad = self.nodes[i].grad.take().expect("checked above");
             let parents = std::mem::take(&mut self.nodes[i].parents);
-            let pgrads = bw(grad);
+            let pgrads = bw(grad, &self.eager);
             assert_eq!(
                 parents.len(),
                 pgrads.len(),
@@ -295,16 +261,20 @@ impl Graph {
                     slot @ None => *slot = Some(pg),
                 }
             }
-            // Saved-for-backward declarations: ops pushed as ephemeral told
-            // us their value is dead once their backward fn ran, so a
-            // pooled sweep reclaims the activation (the sweep root's value
-            // is the loss the caller reads — always kept).
+            // The closures still to run read only earlier values, so this
+            // op's value is dead (the sweep root is the loss the caller
+            // reads — always kept).
             if let Some(pool) = &pool {
-                if i != out.id && !self.nodes[i].keep_value {
-                    if let Some(v) = self.nodes[i].value.take() {
+                if i != out.id {
+                    if let Some(v) = self.eager.values[i].take() {
                         v.into_pool(pool);
                     }
                 }
+            }
+        }
+        for (id, p) in &self.bindings {
+            if let Some(g) = &self.nodes[*id].grad {
+                p.accumulate_grad(g);
             }
         }
     }
@@ -356,6 +326,25 @@ mod tests {
         let s = g.sum_all(y);
         g.backward(s);
         assert_eq!(p.grad().data(), &[6.0]);
+    }
+
+    #[test]
+    fn second_backward_panics_without_touching_gradients() {
+        let p = Parameter::new(Tensor::from_vec(vec![2.0], &[1]).unwrap());
+        let mut g = Graph::new();
+        let v = g.param(&p);
+        let y = g.mul(v, v);
+        g.backward(y);
+        assert_eq!(p.grad().data(), &[4.0]);
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.backward(y)));
+        let payload = again.expect_err("a second backward must panic");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("backward called twice"), "message: {msg}");
+        assert_eq!(p.grad().data(), &[4.0], "the gradient is not flushed twice");
     }
 
     #[test]

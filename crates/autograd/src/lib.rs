@@ -3,27 +3,26 @@
 //! Tape-based reverse-mode automatic differentiation over
 //! [`qn_tensor::Tensor`].
 //!
-//! A [`Graph`] records one forward pass as a flat tape of nodes; calling
-//! [`Graph::backward`] on a scalar output propagates gradients to every
-//! contributing node, including [`Parameter`] leaves whose gradients are
-//! flushed back into persistent storage so an optimizer can consume them.
-//!
-//! Execution is **dual-mode**: the [`Exec`] trait abstracts over the op
-//! set, implemented by both [`Graph`] (taped, differentiable) and
-//! [`EagerExec`] (tape-free, allocation-light — the inference path).
-//! Forward code written against `&mut dyn Exec` runs identically on
-//! either context.
+//! Execution is **dual-mode**: the [`Exec`] trait is the op set, and every
+//! forward pass is written once against `&mut dyn Exec`. [`EagerExec`]
+//! computes each op into a recycled arena with no tape — the inference path,
+//! and the one forward implementation of every op. A [`Graph`] owns an
+//! `EagerExec`, takes each op's value from it and records one tape node per
+//! op: a backward closure that reads the op's operands and output from the
+//! arena when it runs. [`Graph::backward`] on a scalar output runs the
+//! closures in reverse and flushes the gradients of [`Parameter`] leaves
+//! into persistent storage, so an optimizer can consume them.
 //!
 //! The op set is exactly what the quadratic-neuron paper's models need:
-//! dense and conv primitives (im2col on the tape, patches read straight from
-//! the image when eager), broadcast arithmetic, batched matmul and softmax for
+//! dense and conv primitives (convolutions read patches straight from the
+//! image; the tape lowers the quadratic conv to im2col), broadcast arithmetic, batched matmul and softmax for
 //! attention, fused batch/layer norm, the quadratic neuron layer and conv,
 //! the elementwise powers of kervolutional neurons, and a fused loss.
 //!
 //! # Example
 //!
 //! ```
-//! use qn_autograd::Graph;
+//! use qn_autograd::{Exec, Graph};
 //! use qn_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), qn_tensor::TensorError> {

@@ -1,77 +1,17 @@
-//! Matrix and batched-matrix products.
+//! Batched-matrix products: the eager `bmm` kernel and the two products of
+//! its backward pass.
 //!
 //! Everything here routes through the shared `qn-tensor` [`gemm`] core: the
-//! batch dimension of `bmm` is a loop of zero-copy [`MatRef`] subslices, and
-//! the backward passes pass stride-transposed views instead of materializing
+//! batch dimension is a loop of zero-copy [`MatRef`] subslices, and the
+//! backward products pass stride-transposed views instead of materializing
 //! (or hand-rolling) transposed kernels. That gives all of them the core's
 //! guarantees for free — bit-identical results at any thread count and
 //! IEEE-754 propagation (`0 × NaN` is NaN).
 
-use crate::graph::{Graph, Var};
 use qn_tensor::{gemm_batched, MatRef, Tensor};
 
-impl Graph {
-    /// Matrix product `a @ b` of `[M, K] × [K, N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or inner-dimension mismatch.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let value = av.matmul(&bv);
-        self.push_ephemeral(
-            value,
-            vec![a.id, b.id],
-            Some(Box::new(move |g: Tensor| {
-                // dA = g @ Bᵀ ; dB = Aᵀ @ g
-                vec![g.matmul_transb(&bv), av.matmul_transa(&g)]
-            })),
-        )
-    }
-
-    /// Matrix product `a @ bᵀ` of `[M, K] × [N, K]ᵀ` — used when weights are
-    /// stored row-major as `[out, in]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or trailing-dimension mismatch.
-    pub fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let value = av.matmul_transb(&bv);
-        self.push_ephemeral(
-            value,
-            vec![a.id, b.id],
-            Some(Box::new(move |g: Tensor| {
-                // y = a bᵀ : dA = g @ B ; dB = gᵀ @ A
-                vec![g.matmul(&bv), g.matmul_transa(&av)]
-            })),
-        )
-    }
-
-    /// Batched matrix product of `[N, M, K] × [N, K, P]` (attention scores
-    /// and context aggregation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or dimension mismatch.
-    pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let value = bmm_forward(&av, &bv);
-        self.push_ephemeral(
-            value,
-            vec![a.id, b.id],
-            Some(Box::new(move |g: Tensor| {
-                vec![bmm_transb(&g, &bv), bmm_transa(&av, &g)]
-            })),
-        )
-    }
-}
-
 /// Validated `(N, M, K, P)` dims of a `[N, M, K] × [N, K, P]` batched
-/// product — shared by the taped and eager paths.
+/// product.
 pub(crate) fn bmm_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(a.ndim(), 3, "bmm lhs must be 3-D");
     assert_eq!(b.ndim(), 3, "bmm rhs must be 3-D");
@@ -82,19 +22,10 @@ pub(crate) fn bmm_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize) {
     (n, m, k, p)
 }
 
-/// `[N, M, K] × [N, K, P] -> [N, M, P]` through the shared GEMM core: one
+/// `[N, M, K] × [N, K, P] -> [N, M, P]` into a caller-provided
+/// (slot-recycled) buffer of `N·M·P` elements, fully overwritten: one
 /// zero-copy `MatRef` subslice pair per batch element. Bit-identical at any
 /// thread count; `0 × NaN` propagates.
-pub(crate) fn bmm_forward(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, m, _k, p) = bmm_dims(a, b);
-    let mut out = vec![0.0f32; n * m * p];
-    bmm_forward_into(&mut out, a, b);
-    Tensor::from_vec(out, &[n, m, p]).expect("bmm shape consistent")
-}
-
-/// [`bmm_forward`] into a caller-provided (slot-recycled) buffer of
-/// `N·M·P` elements; fully overwritten, bit-identical to the allocating
-/// version.
 pub(crate) fn bmm_forward_into(dst: &mut [f32], a: &Tensor, b: &Tensor) {
     let (n, m, k, p) = bmm_dims(a, b);
     let (ad, bd) = (a.data(), b.data());
@@ -111,7 +42,7 @@ pub(crate) fn bmm_forward_into(dst: &mut [f32], a: &Tensor, b: &Tensor) {
 
 /// `g [N, M, P] × bᵀ [N, P, K]` per batch: returns `[N, M, K]`. The
 /// per-batch transpose of `b` is a stride swap, not a copy.
-fn bmm_transb(g: &Tensor, b: &Tensor) -> Tensor {
+pub(crate) fn bmm_transb(g: &Tensor, b: &Tensor) -> Tensor {
     let (n, k, p) = (b.shape().dim(0), b.shape().dim(1), b.shape().dim(2));
     let m = g.shape().dim(1);
     let mut out = vec![0.0f32; n * m * k];
@@ -130,7 +61,7 @@ fn bmm_transb(g: &Tensor, b: &Tensor) -> Tensor {
 
 /// `aᵀ [N, K, M] × g [N, M, P]` per batch: returns `[N, K, P]`. The
 /// per-batch transpose of `a` is a stride swap, not a copy.
-fn bmm_transa(a: &Tensor, g: &Tensor) -> Tensor {
+pub(crate) fn bmm_transa(a: &Tensor, g: &Tensor) -> Tensor {
     let (n, m, k) = (a.shape().dim(0), a.shape().dim(1), a.shape().dim(2));
     let p = g.shape().dim(2);
     let mut out = vec![0.0f32; n * k * p];
@@ -150,7 +81,7 @@ fn bmm_transa(a: &Tensor, g: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck;
+    use crate::{gradcheck, Exec, Graph};
     use qn_tensor::Rng;
 
     #[test]
@@ -244,7 +175,9 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let a = Tensor::randn(&[3, 2, 4], &mut rng);
         let b = Tensor::randn(&[3, 4, 5], &mut rng);
-        let out = bmm_forward(&a, &b);
+        let mut out = vec![0.0f32; 3 * 2 * 5];
+        bmm_forward_into(&mut out, &a, &b);
+        let out = Tensor::from_vec(out, &[3, 2, 5]).unwrap();
         for ni in 0..3 {
             let ai = a.slice_axis(0, ni, ni + 1).reshape(&[2, 4]).unwrap();
             let bi = b.slice_axis(0, ni, ni + 1).reshape(&[4, 5]).unwrap();

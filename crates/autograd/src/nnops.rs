@@ -1,8 +1,8 @@
-//! Fused neural-network ops: softmax, cross-entropy, normalization,
-//! embedding and dropout.
+//! The tape's two losses, and the row kernels of the eager softmax and
+//! layer norm.
 
 use crate::graph::{Graph, Var};
-use crate::PAR_MIN_ELEMS;
+use crate::{Exec, PAR_MIN_ELEMS};
 use qn_tensor::Tensor;
 
 /// Accumulates one row's label-smoothed cross-entropy into `loss`:
@@ -39,33 +39,6 @@ fn ce_row_grad(row: &mut [f32], t: usize, on: f32, off: f32, scale: f32, w: f32)
 }
 
 impl Graph {
-    /// Numerically-stable softmax over the **last** axis.
-    pub fn softmax_last(&mut self, x: Var) -> Var {
-        let value = softmax_last(self.value(x));
-        let out = value.clone();
-        let last = self.value(x).shape().dims().last().copied().unwrap_or(1);
-        self.push_ephemeral(
-            value,
-            vec![x.id],
-            Some(Box::new(move |mut g: Tensor| {
-                // dx = p ⊙ (g - sum(g ⊙ p, last)), rewriting g in place:
-                // each row's sum is taken before any of its elements are
-                // overwritten, so the fold is identical to the two-tensor
-                // form
-                let pd = out.data();
-                let gd = g.data_mut();
-                for row in 0..pd.len() / last {
-                    let base = row * last;
-                    let s: f32 = (0..last).map(|j| gd[base + j] * pd[base + j]).sum();
-                    for j in 0..last {
-                        gd[base + j] = pd[base + j] * (gd[base + j] - s);
-                    }
-                }
-                vec![g]
-            })),
-        )
-    }
-
     /// Fused softmax + cross-entropy loss over logits `[B, C]` with integer
     /// targets, optional label smoothing. Returns the mean loss as `[1]`.
     ///
@@ -79,8 +52,7 @@ impl Graph {
         targets: &[usize],
         label_smoothing: f32,
     ) -> Var {
-        let lv = self.value(logits).clone();
-        let (b, c) = lv.dims2();
+        let (b, c) = self.value(logits).dims2();
         assert_eq!(
             targets.len(),
             b,
@@ -90,7 +62,7 @@ impl Graph {
         for &t in targets {
             assert!(t < c, "target {t} out of range for {c} classes");
         }
-        let probs = softmax_last(&lv);
+        let probs = softmax(self.value(logits));
         let eps = label_smoothing;
         let off = eps / c as f32;
         let on = 1.0 - eps + off;
@@ -107,26 +79,24 @@ impl Graph {
         }
         loss /= b as f32;
         let targets = targets.to_vec();
-        let value = Tensor::from_vec(vec![loss], &[1]).expect("scalar");
-        self.push_ephemeral(
-            value,
-            vec![logits.id],
-            Some(Box::new(move |g: Tensor| {
-                let scale = g.data()[0] / b as f32;
-                let mut dx = probs.clone();
-                for (i, &t) in targets.iter().enumerate() {
-                    ce_row_grad(
-                        &mut dx.data_mut()[i * c..(i + 1) * c],
-                        t,
-                        on,
-                        off,
-                        scale,
-                        1.0,
-                    );
-                }
-                vec![dx]
-            })),
-        )
+        let out = self
+            .eager
+            .leaf(Tensor::from_vec(vec![loss], &[1]).expect("scalar"));
+        self.record(out, &[logits], move |g, _| {
+            let scale = g.data()[0] / b as f32;
+            let mut dx = probs;
+            for (i, &t) in targets.iter().enumerate() {
+                ce_row_grad(
+                    &mut dx.data_mut()[i * c..(i + 1) * c],
+                    t,
+                    on,
+                    off,
+                    scale,
+                    1.0,
+                );
+            }
+            vec![dx]
+        })
     }
 
     /// Per-position weighted softmax cross-entropy over logits `[B, C]`:
@@ -144,8 +114,7 @@ impl Graph {
         weights: &[f32],
         label_smoothing: f32,
     ) -> Var {
-        let lv = self.value(logits).clone();
-        let (b, c) = lv.dims2();
+        let (b, c) = self.value(logits).dims2();
         assert_eq!(
             targets.len(),
             b,
@@ -163,7 +132,7 @@ impl Graph {
         for &t in targets {
             assert!(t < c, "target {t} out of range for {c} classes");
         }
-        let probs = softmax_last(&lv);
+        let probs = softmax(self.value(logits));
         let eps = label_smoothing;
         let off = eps / c as f32;
         let on = 1.0 - eps + off;
@@ -174,362 +143,30 @@ impl Graph {
         loss /= wsum;
         let targets = targets.to_vec();
         let weights = weights.to_vec();
-        let value = Tensor::from_vec(vec![loss], &[1]).expect("scalar");
-        self.push_ephemeral(
-            value,
-            vec![logits.id],
-            Some(Box::new(move |g: Tensor| {
-                let scale = g.data()[0] / wsum;
-                let mut dx = probs.clone();
-                for (i, (&t, &wi)) in targets.iter().zip(weights.iter()).enumerate() {
-                    ce_row_grad(
-                        &mut dx.data_mut()[i * c..(i + 1) * c],
-                        t,
-                        on,
-                        off,
-                        scale,
-                        wi,
-                    );
-                }
-                vec![dx]
-            })),
-        )
-    }
-
-    /// Layer normalization over the last axis with affine parameters
-    /// `gamma`/`beta` of shape `[D]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trailing dim of `x` differs from `gamma`/`beta`.
-    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let xv = self.value(x).clone();
-        let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
-        let d = *xv.shape().dims().last().expect("non-empty shape");
-        assert_eq!(gv.numel(), d, "gamma width {} != {d}", gv.numel());
-        assert_eq!(bv.numel(), d, "beta width {} != {d}", bv.numel());
-        let rows = xv.numel() / d;
-        let mut xhat = vec![0.0f32; xv.numel()];
-        let mut inv_std = vec![0.0f32; rows];
-        let out = layer_norm_forward(&xv, &gv, &bv, eps, Some((&mut xhat, &mut inv_std)));
-        let xshape = xv.shape().dims().to_vec();
-        self.push_ephemeral(
-            out,
-            vec![x.id, gamma.id, beta.id],
-            Some(Box::new(move |g: Tensor| {
-                let gd = g.data();
-                let mut dgamma = vec![0.0f32; d];
-                let mut dbeta = vec![0.0f32; d];
-                let mut dx = vec![0.0f32; gd.len()];
-                for (r, &istd) in inv_std.iter().enumerate() {
-                    let base = r * d;
-                    // accumulate affine grads
-                    for j in 0..d {
-                        dgamma[j] += gd[base + j] * xhat[base + j];
-                        dbeta[j] += gd[base + j];
-                    }
-                    let mut sum_dxhat = 0.0f32;
-                    let mut sum_dxhat_xhat = 0.0f32;
-                    for j in 0..d {
-                        let dxh = gd[base + j] * gv.data()[j];
-                        sum_dxhat += dxh;
-                        sum_dxhat_xhat += dxh * xhat[base + j];
-                    }
-                    for j in 0..d {
-                        let dxh = gd[base + j] * gv.data()[j];
-                        dx[base + j] = istd
-                            * (dxh
-                                - sum_dxhat / d as f32
-                                - xhat[base + j] * sum_dxhat_xhat / d as f32);
-                    }
-                }
-                vec![
-                    Tensor::from_vec(dx, &xshape).expect("shape consistent"),
-                    Tensor::from_vec(dgamma, &[d]).expect("width consistent"),
-                    Tensor::from_vec(dbeta, &[d]).expect("width consistent"),
-                ]
-            })),
-        )
-    }
-
-    /// Batch normalization over `[B, C, H, W]` with per-channel affine
-    /// parameters. In training mode uses batch statistics and returns the
-    /// batch mean/variance for the caller to fold into running statistics;
-    /// in inference mode normalizes with the provided running statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or channel-width mismatch.
-    pub fn batch_norm2d(
-        &mut self,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        running_mean: &Tensor,
-        running_var: &Tensor,
-        eps: f32,
-    ) -> (Var, Option<(Tensor, Tensor)>) {
-        let xv = self.value(x).clone();
-        let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
-        let (b, c, h, w) = xv.dims4();
-        assert_eq!(gv.numel(), c, "gamma width {} != {c}", gv.numel());
-        assert_eq!(bv.numel(), c, "beta width {} != {c}", bv.numel());
-        let m = (b * h * w) as f32;
-        let training = self.is_training();
-        let (mean, var) = if training {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            let hw = h * w;
-            for bi in 0..b {
-                for (ci, mc) in mean.iter_mut().enumerate() {
-                    let base = (bi * c + ci) * hw;
-                    *mc += xv.data()[base..base + hw].iter().sum::<f32>();
-                }
+        let out = self
+            .eager
+            .leaf(Tensor::from_vec(vec![loss], &[1]).expect("scalar"));
+        self.record(out, &[logits], move |g, _| {
+            let scale = g.data()[0] / wsum;
+            let mut dx = probs;
+            for (i, (&t, &wi)) in targets.iter().zip(weights.iter()).enumerate() {
+                ce_row_grad(
+                    &mut dx.data_mut()[i * c..(i + 1) * c],
+                    t,
+                    on,
+                    off,
+                    scale,
+                    wi,
+                );
             }
-            for v in &mut mean {
-                *v /= m;
-            }
-            for bi in 0..b {
-                for ci in 0..c {
-                    let base = (bi * c + ci) * hw;
-                    var[ci] += xv.data()[base..base + hw]
-                        .iter()
-                        .map(|&x| (x - mean[ci]) * (x - mean[ci]))
-                        .sum::<f32>();
-                }
-            }
-            for v in &mut var {
-                *v /= m;
-            }
-            (mean, var)
-        } else {
-            (running_mean.data().to_vec(), running_var.data().to_vec())
-        };
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-        let hw = h * w;
-        let mut xhat = vec![0.0f32; xv.numel()];
-        let out = batch_norm_apply(&xv, &gv, &bv, &mean, &inv_std, Some(&mut xhat));
-        let stats = if training {
-            Some((
-                Tensor::from_vec(mean.clone(), &[c]).expect("width consistent"),
-                Tensor::from_vec(var.clone(), &[c]).expect("width consistent"),
-            ))
-        } else {
-            None
-        };
-        let out_var = self.push_ephemeral(
-            out,
-            vec![x.id, gamma.id, beta.id],
-            Some(Box::new(move |g: Tensor| {
-                let gd = g.data();
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
-                for bi in 0..b {
-                    for ci in 0..c {
-                        let base = (bi * c + ci) * hw;
-                        for j in 0..hw {
-                            dgamma[ci] += gd[base + j] * xhat[base + j];
-                            dbeta[ci] += gd[base + j];
-                        }
-                    }
-                }
-                let mut dx = vec![0.0f32; gd.len()];
-                if training {
-                    for ci in 0..c {
-                        let istd = inv_std[ci];
-                        let gam = gv.data()[ci];
-                        let sum_dxhat = dbeta[ci] * gam;
-                        let sum_dxhat_xhat = dgamma[ci] * gam;
-                        for bi in 0..b {
-                            let base = (bi * c + ci) * hw;
-                            for j in 0..hw {
-                                let dxh = gd[base + j] * gam;
-                                dx[base + j] = istd
-                                    * (dxh - sum_dxhat / m - xhat[base + j] * sum_dxhat_xhat / m);
-                            }
-                        }
-                    }
-                } else {
-                    for (ci, &istd) in inv_std.iter().enumerate() {
-                        let gam = gv.data()[ci];
-                        for bi in 0..b {
-                            let base = (bi * c + ci) * hw;
-                            for j in 0..hw {
-                                dx[base + j] = gd[base + j] * gam * istd;
-                            }
-                        }
-                    }
-                }
-                vec![
-                    Tensor::from_vec(dx, &[b, c, h, w]).expect("shape consistent"),
-                    Tensor::from_vec(dgamma, &[c]).expect("width consistent"),
-                    Tensor::from_vec(dbeta, &[c]).expect("width consistent"),
-                ]
-            })),
-        );
-        (out_var, stats)
-    }
-
-    /// Embedding lookup: gathers rows of `weight` (`[V, D]`) by token id,
-    /// returning `[ids.len(), D]`. The backward pass scatter-adds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range.
-    pub fn embedding(&mut self, weight: Var, ids: &[usize]) -> Var {
-        let wv = self.value(weight).clone();
-        let (v, d) = wv.dims2();
-        for &id in ids {
-            assert!(id < v, "token id {id} out of range for vocab {v}");
-        }
-        let value = wv.select_rows(ids);
-        let ids = ids.to_vec();
-        self.push_ephemeral(
-            value,
-            vec![weight.id],
-            Some(Box::new(move |g: Tensor| {
-                let mut dw = Tensor::zeros(&[v, d]);
-                for (row, &id) in ids.iter().enumerate() {
-                    let src = &g.data()[row * d..(row + 1) * d];
-                    let dst = &mut dw.data_mut()[id * d..(id + 1) * d];
-                    for (o, &x) in dst.iter_mut().zip(src) {
-                        *o += x;
-                    }
-                }
-                vec![dw]
-            })),
-        )
-    }
-
-    /// Inverted dropout with keep-scale `1/(1-p)`; identity in inference
-    /// mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1)`.
-    pub fn dropout(&mut self, x: Var, p: f32) -> Var {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout p must be in [0, 1), got {p}"
-        );
-        if !self.is_training() || p == 0.0 {
-            return self.scale(x, 1.0);
-        }
-        let n = self.value(x).numel();
-        let keep = 1.0 - p;
-        let mask: Vec<f32> = (0..n)
-            .map(|_| {
-                if self.rng.chance(keep) {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(mask, self.value(x).shape().dims()).expect("mask shape");
-        let mv = mask.clone();
-        let value = self.value(x).mul(&mask);
-        self.push_ephemeral(
-            value,
-            vec![x.id],
-            Some(Box::new(move |mut g: Tensor| {
-                g.zip_inplace(&mv, |gi, m| gi * m);
-                vec![g]
-            })),
-        )
+            vec![dx]
+        })
     }
 }
 
-/// Forward layer normalization shared by the taped and eager execution
-/// paths; when `capture` is provided, also records `x̂` and the per-row
-/// `1/σ` for the backward pass.
-///
-/// # Panics
-///
-/// Panics if the trailing dim of `x` differs from `gamma`/`beta`.
-pub(crate) fn layer_norm_forward(
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    eps: f32,
-    mut capture: Option<(&mut [f32], &mut [f32])>,
-) -> Tensor {
-    let d = *xv.shape().dims().last().expect("non-empty shape");
-    assert_eq!(gv.numel(), d, "gamma width {} != {d}", gv.numel());
-    assert_eq!(bv.numel(), d, "beta width {} != {d}", bv.numel());
-    let rows = xv.numel() / d;
-    let mut out = xv.clone();
-    if capture.is_none() {
-        layer_norm_infer_into(out.data_mut(), xv, gv, bv, eps);
-        return out;
-    }
-    let od = out.data_mut();
-    for r in 0..rows {
-        let base = r * d;
-        let row = &xv.data()[base..base + d];
-        let mean = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        for j in 0..d {
-            let xh = (row[j] - mean) * istd;
-            if let Some((xhat, _)) = capture.as_mut() {
-                xhat[base + j] = xh;
-            }
-            od[base + j] = xh * gv.data()[j] + bv.data()[j];
-        }
-        if let Some((_, inv_std)) = capture.as_mut() {
-            inv_std[r] = istd;
-        }
-    }
-    out
-}
-
-/// Per-channel batch-norm application `x̂ γ + β` with the given mean and
-/// `1/σ`, shared by the taped and eager execution paths; records `x̂` when
-/// `xhat` is provided (the backward pass needs it).
-///
-/// # Panics
-///
-/// Panics if `x` is not 4-D.
-pub(crate) fn batch_norm_apply(
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    mean: &[f32],
-    inv_std: &[f32],
-    mut xhat: Option<&mut [f32]>,
-) -> Tensor {
-    let (b, c, h, w) = xv.dims4();
-    let hw = h * w;
-    let mut out = xv.clone();
-    if xhat.is_none() {
-        // Inference path: per-channel affine over disjoint planes, safe to
-        // parallelize over batch × channel.
-        batch_norm_infer_into(out.data_mut(), xv, gv, bv, mean, inv_std);
-        return out;
-    }
-    let od = out.data_mut();
-    for bi in 0..b {
-        for ci in 0..c {
-            let base = (bi * c + ci) * hw;
-            for j in 0..hw {
-                let xh = (xv.data()[base + j] - mean[ci]) * inv_std[ci];
-                if let Some(x) = xhat.as_deref_mut() {
-                    x[base + j] = xh;
-                }
-                od[base + j] = xh * gv.data()[ci] + bv.data()[ci];
-            }
-        }
-    }
-    out
-}
-
-/// Inference layer norm into a caller-provided (slot-recycled) buffer —
-/// the parallel per-row kernel shared by [`layer_norm_forward`] and the
-/// eager path. Fully overwrites `dst`; bit-identical to the allocating
-/// version and to the sequential training sweep.
+/// Layer norm into a caller-provided (slot-recycled) buffer — the parallel
+/// per-row kernel of the eager op. Fully overwrites `dst`; the tape's
+/// backward recomputes `x̂` and `1/σ` with the same expressions.
 pub(crate) fn layer_norm_infer_into(
     dst: &mut [f32],
     xv: &Tensor,
@@ -545,8 +182,8 @@ pub(crate) fn layer_norm_infer_into(
         xv.numel(),
         "layer_norm_infer_into length mismatch"
     );
-    // Inference path: rows are independent, so normalize them in
-    // parallel (bit-identical to the sequential training sweep).
+    // rows are independent, so normalize them in parallel (bit-identical
+    // at any thread count)
     qn_parallel::par_chunks_mut_min(dst, d.max(1), PAR_MIN_ELEMS, |r, orow| {
         let base = r * d;
         let row = &xv.data()[base..base + d];
@@ -559,44 +196,8 @@ pub(crate) fn layer_norm_infer_into(
     });
 }
 
-/// Inference batch norm into a caller-provided buffer: per-channel affine
-/// `(x - mean[c]) · inv_std[c] · γ[c] + β[c]` parallel over disjoint
-/// (batch, channel) planes. Fully overwrites `dst`; bit-identical to
-/// [`batch_norm_apply`] without capture.
-pub(crate) fn batch_norm_infer_into(
-    dst: &mut [f32],
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    mean: &[f32],
-    inv_std: &[f32],
-) {
-    let (_b, c, h, w) = xv.dims4();
-    let hw = h * w;
-    assert_eq!(
-        dst.len(),
-        xv.numel(),
-        "batch_norm_infer_into length mismatch"
-    );
-    // The vector per-plane affine applies the same `(x − μ)·σ⁻¹·γ + β`
-    // operation order lane-wise, so it is bit-identical to the scalar loop.
-    qn_parallel::par_chunks_mut_min(dst, hw.max(1), PAR_MIN_ELEMS, |plane, out_plane| {
-        let ci = plane % c;
-        let base = plane * hw;
-        qn_simd::affine_channel_to(
-            out_plane,
-            &xv.data()[base..base + hw],
-            mean[ci],
-            inv_std[ci],
-            gv.data()[ci],
-            bv.data()[ci],
-        );
-    });
-}
-
 /// Normalizes each `last`-wide row of `data` in place with the stable
-/// softmax — the kernel under [`softmax_last`] and the eager path's
-/// copy-then-normalize (bit-identical either way).
+/// softmax — the kernel of the eager `softmax_last` and of the losses.
 pub(crate) fn softmax_rows_inplace(data: &mut [f32], last: usize) {
     qn_parallel::par_chunks_mut_min(data, last.max(1), PAR_MIN_ELEMS, |_, row| {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -611,14 +212,12 @@ pub(crate) fn softmax_rows_inplace(data: &mut [f32], last: usize) {
     });
 }
 
-/// Stable softmax over the last axis (free function shared with the loss).
-/// Rows normalize independently, so the sweep runs on the `qn-parallel`
-/// pool for large inputs with bit-identical results at any thread count.
-pub(crate) fn softmax_last(x: &Tensor) -> Tensor {
-    let last = *x.shape().dims().last().expect("non-empty shape");
-    let mut out = x.clone();
-    softmax_rows_inplace(out.data_mut(), last);
-    out
+/// Stable softmax over the rows of `[B, C]` logits — the probabilities
+/// both losses derive their value and gradient from.
+fn softmax(logits: &Tensor) -> Tensor {
+    let mut probs = logits.clone();
+    softmax_rows_inplace(probs.data_mut(), logits.dims2().1);
+    probs
 }
 
 #[cfg(test)]
@@ -631,7 +230,7 @@ mod tests {
     fn softmax_rows_sum_to_one() {
         let mut rng = Rng::seed_from(1);
         let x = Tensor::randn(&[4, 7], &mut rng).scale(3.0);
-        let p = softmax_last(&x);
+        let p = softmax(&x);
         for r in 0..4 {
             let s: f32 = p.data()[r * 7..(r + 1) * 7].iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
@@ -644,7 +243,7 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let x = Tensor::randn(&[2, 5], &mut rng);
         let shifted = x.add_scalar(100.0);
-        assert!(softmax_last(&x).allclose(&softmax_last(&shifted), 1e-5));
+        assert!(softmax(&x).allclose(&softmax(&shifted), 1e-5));
     }
 
     #[test]

@@ -8,9 +8,8 @@ use std::sync::{Arc, RwLock};
 /// same storage, which is how modules hand their weights both to the graph
 /// (via [`crate::Graph::param`]) and to an optimizer. The handle is
 /// `Send + Sync`, so one model can serve concurrent shards on the
-/// `qn-parallel` pool (sharded `predict_batch`, data-parallel gradient
-/// accumulation); accesses are short value/gradient copies, so the lock is
-/// uncontended in steady state.
+/// `qn-parallel` pool (sharded `predict_batch`); accesses are short
+/// value/gradient copies, so the lock is uncontended in steady state.
 ///
 /// # Example
 ///

@@ -2,7 +2,7 @@
 //! backward pass and gradient checks of composed expressions.
 
 use proptest::prelude::*;
-use qn_autograd::{gradcheck, Graph};
+use qn_autograd::{gradcheck, Exec, Graph};
 use qn_tensor::Tensor;
 
 proptest! {

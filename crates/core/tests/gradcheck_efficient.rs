@@ -4,7 +4,7 @@
 //! ≤ 2 in every factor, so central finite differences are exact up to f32
 //! rounding.
 
-use qn_autograd::{gradcheck_multi, Graph, Var};
+use qn_autograd::{gradcheck_multi, Exec, Graph, Var};
 use qn_core::neurons::EfficientQuadraticLinear;
 use qn_nn::Module;
 use qn_tensor::{Rng, Tensor};

@@ -236,21 +236,6 @@ pub struct TrainConfig {
     pub clip: Option<f32>,
     /// Shuffle / dropout seed.
     pub seed: u64,
-    /// Data-parallel gradient-accumulation shards per step: each mini-batch
-    /// is split into this many contiguous sub-batches whose forward/backward
-    /// passes run concurrently on the `qn-parallel` pool, and whose
-    /// gradients are then accumulated **in shard order**, so for a given
-    /// shard count the loss curve and every gradient are bit-deterministic
-    /// at any thread count. `0` means "one shard per pool thread"; `1` (the
-    /// default) reproduces the single-graph step bit-for-bit.
-    ///
-    /// Shard counts > 1 follow standard unsynchronized data-parallel
-    /// semantics: batch norm normalizes with **per-shard** batch statistics
-    /// (there is no cross-shard stat sync), so the optimization trajectory
-    /// differs slightly from the single-graph baseline, and the
-    /// running-statistics updates — which only feed later inference, never
-    /// the training gradients — are folded in pool-completion order.
-    pub grad_shards: usize,
 }
 
 impl Default for TrainConfig {
@@ -265,63 +250,7 @@ impl Default for TrainConfig {
             augment: true,
             clip: Some(5.0),
             seed: 0,
-            grad_shards: 1,
         }
-    }
-}
-
-/// One shard's contribution to a data-parallel training step.
-struct ShardStep {
-    /// Shard loss, already weighted by `shard_len / batch_len`.
-    weighted_loss: f32,
-    /// Shard accuracy, weighted by `shard_len`.
-    weighted_hits: f32,
-    /// `(parameter, gradient)` pairs from [`qn_autograd::Graph::backward_collect`].
-    grads: Vec<(qn_autograd::Parameter, Tensor)>,
-}
-
-/// Forward/backward over `batch[lo..hi]`, returning weighted loss, weighted
-/// accuracy and the collected (not yet accumulated) gradients.
-fn shard_step(
-    net: &ResNet,
-    images: &Tensor,
-    labels: &[usize],
-    lo: usize,
-    hi: usize,
-    seed: u64,
-    pool: &Arc<BufferPool>,
-) -> ShardStep {
-    let batch_len = labels.len() as f32;
-    let shard_len = (hi - lo) as f32;
-    // Pooled tape: the backward sweep reclaims intermediate activations and
-    // spent gradients into the step-shared pool, and `recycle_into` below
-    // returns the rest, so the next step's graph (and the GEMM packing
-    // scratch) reuses this step's buffers instead of reallocating.
-    let mut g = Graph::training_pooled(seed, Arc::clone(pool));
-    let x = g.leaf(images.slice_axis(0, lo, hi));
-    let logits = net.forward(&mut g, x);
-    let shard_labels = &labels[lo..hi];
-    // accuracy is read *before* backward: the pooled sweep reclaims the
-    // logits buffer
-    let shard_acc = accuracy(g.value(logits), shard_labels);
-    let loss = g.softmax_cross_entropy(logits, shard_labels, 0.0);
-    // Weight the shard's mean loss by its share of the batch so the summed
-    // gradient equals the full-batch mean-loss gradient.
-    let weighted = g.scale(loss, shard_len / batch_len);
-    let weighted_loss = g.value(weighted).data()[0];
-    if !weighted_loss.is_finite() {
-        return ShardStep {
-            weighted_loss,
-            weighted_hits: 0.0,
-            grads: Vec::new(),
-        };
-    }
-    let grads = g.backward_collect(weighted);
-    g.recycle_into(pool);
-    ShardStep {
-        weighted_loss,
-        weighted_hits: shard_acc * shard_len,
-        grads,
     }
 }
 
@@ -479,11 +408,6 @@ pub fn try_train_classifier(
         .as_ref()
         .map(|r| (r.epoch_start, r.batch_in_epoch, r.loss_sum, r.acc_sum));
 
-    let shards_cfg = if cfg.grad_shards == 0 {
-        qn_parallel::num_threads()
-    } else {
-        cfg.grad_shards
-    };
     // One pool for the whole run: step N+1's tapes draw from step N's
     // reclaimed buffers (values are unaffected — `pool_equivalence.rs`
     // asserts pooled and unpooled gradients are bit-identical).
@@ -518,53 +442,17 @@ pub fn try_train_classifier(
                 images
             };
             step_seed = step_seed.wrapping_add(1);
-            let batch_len = labels.len();
-            let shards = shards_cfg.min(batch_len).max(1);
-            let (loss_val, batch_acc) = if shards <= 1 {
-                // Single-graph step: bit-for-bit the pre-sharding behaviour
-                // (the pooled tape only changes where buffers come from).
-                let mut g = Graph::training_pooled(step_seed, Arc::clone(&pool));
-                let x = g.leaf(images);
-                let logits = net.forward(&mut g, x);
-                let loss = g.softmax_cross_entropy(logits, &labels, 0.0);
-                let loss_val = g.value(loss).data()[0];
-                // read before backward: the pooled sweep reclaims the logits
-                let batch_acc = accuracy(g.value(logits), &labels);
-                if loss_val.is_finite() {
-                    g.backward(loss);
-                }
-                g.recycle_into(&pool);
-                (loss_val, batch_acc)
-            } else {
-                // Data-parallel step: shard forward/backward passes run
-                // concurrently, gradients accumulate in shard order below so
-                // the reduction is deterministic at any thread count.
-                let ranges = qn_parallel::split_evenly(batch_len, shards);
-                let images_ref = &images;
-                let labels_ref = labels.as_slice();
-                let pool_ref = &pool;
-                let steps = qn_parallel::par_map(ranges, |s, (lo, hi)| {
-                    shard_step(
-                        net,
-                        images_ref,
-                        labels_ref,
-                        lo,
-                        hi,
-                        step_seed.wrapping_add(s as u64),
-                        pool_ref,
-                    )
-                });
-                let loss_val: f32 = steps.iter().map(|s| s.weighted_loss).sum();
-                let hits: f32 = steps.iter().map(|s| s.weighted_hits).sum();
-                if loss_val.is_finite() {
-                    for step in &steps {
-                        for (p, grad) in &step.grads {
-                            p.accumulate_grad(grad);
-                        }
-                    }
-                }
-                (loss_val, hits / batch_len as f32)
-            };
+            let mut g = Graph::training_pooled(step_seed, Arc::clone(&pool));
+            let x = g.leaf(images);
+            let logits = net.forward(&mut g, x);
+            let loss = g.softmax_cross_entropy(logits, &labels, 0.0);
+            let loss_val = g.value(loss).data()[0];
+            // read before backward: the pooled sweep reclaims the logits
+            let batch_acc = accuracy(g.value(logits), &labels);
+            if loss_val.is_finite() {
+                g.backward(loss);
+            }
+            g.recycle_into(&pool);
             if !loss_val.is_finite() {
                 diverged = true;
                 curve.push(EpochStats {
@@ -987,53 +875,6 @@ mod tests {
         assert!(result.test_accuracy >= 0.0 && result.test_accuracy <= 1.0);
     }
 
-    #[test]
-    fn data_parallel_training_is_deterministic_and_tracks_single_shard() {
-        let data = synthetic_cifar10(8, 6, 3, 1);
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 16,
-            augment: false,
-            ..TrainConfig::default()
-        };
-        let run = |shards: usize| {
-            let net = ResNet::cifar(ResNetConfig {
-                depth: 8,
-                base_width: 4,
-                num_classes: 10,
-                neuron: NeuronSpec::EfficientQuadratic { rank: 3 },
-                placement: NeuronPlacement::All,
-                seed: 2,
-            });
-            train_classifier(
-                &net,
-                &data,
-                TrainConfig {
-                    grad_shards: shards,
-                    ..cfg
-                },
-            )
-        };
-        // For a given shard count the loss curve is bit-deterministic:
-        // gradients accumulate in shard order, never in pool-completion
-        // order, and training-mode batch norm never reads the (completion-
-        // ordered) running statistics.
-        let a = run(4);
-        let b = run(4);
-        assert!(!a.diverged && !b.diverged);
-        assert_eq!(a.curve[0].loss.to_bits(), b.curve[0].loss.to_bits());
-        // Sharded training uses per-shard batch-norm statistics
-        // (unsynchronized data parallelism), so it tracks the single-graph
-        // baseline closely but not exactly.
-        let single = run(1);
-        assert!(
-            (a.curve[0].loss - single.curve[0].loss).abs() < 0.2,
-            "sharded loss {} vs single-shard {}",
-            a.curve[0].loss,
-            single.curve[0].loss
-        );
-    }
-
     fn resume_net(seed: u64) -> ResNet {
         ResNet::cifar(ResNetConfig {
             depth: 8,
@@ -1098,57 +939,6 @@ mod tests {
             );
             let _ = std::fs::remove_file(&path);
         }
-    }
-
-    #[test]
-    fn data_parallel_resume_reproduces_uninterrupted_curve() {
-        let data = synthetic_cifar10(8, 6, 3, 1);
-        // fixed shard count so the run is reproducible on any host; the
-        // sharded loop shares the classifier checkpoint logic, but the
-        // gradient reduction and per-shard RNG streams are its own
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            augment: true,
-            grad_shards: 2,
-            ..TrainConfig::default()
-        };
-        let full = train_classifier(&resume_net(3), &data, cfg);
-        assert!(!full.diverged);
-
-        let path = std::env::temp_dir().join("qn_resume_shards.qnckpt");
-        try_train_classifier(
-            &resume_net(3),
-            &data,
-            cfg,
-            &CheckpointSpec {
-                path: Some(path.clone()),
-                every_batches: 1,
-                resume: None,
-                halt_after_batches: Some(3),
-            },
-        )
-        .expect("interrupted run");
-        let resumed = try_train_classifier(
-            &resume_net(11),
-            &data,
-            cfg,
-            &CheckpointSpec {
-                resume: Some(path.clone()),
-                ..CheckpointSpec::default()
-            },
-        )
-        .expect("resumed run");
-        assert_eq!(full.curve.len(), resumed.curve.len());
-        for (a, b) in full.curve.iter().zip(&resumed.curve) {
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        }
-        assert_eq!(
-            full.test_accuracy.to_bits(),
-            resumed.test_accuracy.to_bits()
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

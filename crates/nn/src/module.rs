@@ -73,10 +73,10 @@ pub fn visit_scoped(v: &mut dyn ParamVisitor, scope: &str, f: impl FnOnce(&mut d
 /// `Box<dyn Module>` stacks built from pluggable neuron kinds.
 ///
 /// `Send + Sync` is a supertrait: a model is shared by reference across the
-/// `qn-parallel` worker pool (sharded `InferenceSession::predict_batch`,
-/// data-parallel gradient accumulation), so layers must keep their interior
-/// state thread-safe — [`Parameter`] is `Arc<RwLock<…>>` and `BatchNorm2d`
-/// guards its running statistics with an `RwLock`.
+/// `qn-parallel` worker pool (sharded `InferenceSession::predict_batch`),
+/// so layers must keep their interior state thread-safe — [`Parameter`] is
+/// `Arc<RwLock<…>>` and `BatchNorm2d` guards its running statistics with an
+/// `RwLock`.
 ///
 /// The forward pass is written once against the [`Exec`] execution context
 /// and therefore runs in **both** modes: on a

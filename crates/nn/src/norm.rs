@@ -177,10 +177,10 @@ impl Module for BatchNorm2d {
         };
         if let Some((mean, var)) = stats {
             // Fold each batch statistic into the *current* running value
-            // under one write-lock acquisition: concurrent training shards
-            // (data-parallel gradient accumulation) then each contribute
-            // their momentum step in completion order instead of racing a
-            // read-modify-write and losing updates.
+            // under one write-lock acquisition: concurrent training graphs
+            // on one model then each contribute their momentum step in
+            // completion order instead of racing a read-modify-write and
+            // losing updates.
             let m = self.momentum;
             {
                 let mut rm = self

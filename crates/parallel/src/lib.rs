@@ -6,7 +6,7 @@
 //! vendors a minimal data-parallel core in the same spirit as the offline
 //! shims under `crates/shims/`: a lazily-spawned global pool of worker
 //! threads plus scoped fork–join primitives that may borrow stack data
-//! ([`par_scope`], [`par_chunks_mut`], [`par_map`]).
+//! ([`par_scope`], [`par_chunks_mut`]).
 //!
 //! ## Sizing
 //!
@@ -248,8 +248,8 @@ fn run_as_worker(job: Job) {
 /// blocking join is what makes that sound. If any task panics, the panic is
 /// re-raised on the calling thread after the scope completes.
 ///
-/// This is the low-level primitive under [`par_chunks_mut`] and
-/// [`par_map`]; kernels normally want one of those instead.
+/// This is the low-level primitive under [`par_chunks_mut`]; kernels
+/// normally want that instead.
 ///
 /// # Panics
 ///
@@ -462,24 +462,10 @@ pub fn par_chunks_mut_pair_min<A, B, F>(
 
 /// Splits `0..n` into `parts` contiguous half-open ranges whose lengths
 /// differ by at most one (the first `n % parts` ranges take the extra
-/// element). Shared by every data-parallel call site — batched inference
-/// sharding and gradient-accumulation sharding — so all of them agree on
-/// shard boundaries, which the determinism guarantees depend on. Empty
-/// ranges are omitted, so fewer than `parts` ranges come back when
-/// `n < parts`.
-///
-/// # Panics
-///
-/// Panics if `parts == 0`.
-pub fn split_evenly(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity(parts.min(n));
-    split_evenly_into(n, parts, &mut ranges);
-    ranges
-}
-
-/// [`split_evenly`] into a caller-provided `Vec` (cleared first, capacity
-/// reused) — lets a steady-state serving loop shard every batch without
-/// reallocating the range list.
+/// element), written into `out` (cleared first, capacity reused, so a
+/// steady-state serving loop shards every batch without reallocating the
+/// range list). Empty ranges are omitted, so fewer than `parts` ranges come
+/// back when `n < parts`.
 ///
 /// # Panics
 ///
@@ -497,41 +483,6 @@ pub fn split_evenly_into(n: usize, parts: usize, out: &mut Vec<(usize, usize)>) 
             start += len;
         }
     }
-}
-
-/// Maps `f` over `items` on the pool, returning results **in input order**
-/// (task completion order never leaks into the output). One task per item —
-/// intended for coarse work such as per-shard model execution, not for
-/// per-element maps.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f` (via [`par_scope`]); the
-/// internal "every slot filled" expectation cannot fire otherwise, since
-/// a panicking task re-raises before results are unwrapped.
-pub fn par_map<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(usize, I) -> R + Sync,
-{
-    let n = items.len();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    {
-        let f = &f;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n);
-        for (i, (item, slot)) in items.into_iter().zip(results.iter_mut()).enumerate() {
-            tasks.push(Box::new(move || {
-                *slot = Some(f(i, item));
-            }));
-        }
-        par_scope(tasks);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("par_scope runs every task"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -583,17 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..64).collect();
-        let out = par_map(items, |i, x| {
-            assert_eq!(i, x);
-            x * x
-        });
-        let expect: Vec<usize> = (0..64).map(|x| x * x).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn nested_parallelism_runs_inline() {
         let hits = AtomicUsize::new(0);
         let mut outer = vec![0u8; 4];
@@ -631,10 +571,15 @@ mod tests {
 
     #[test]
     fn split_evenly_covers_range_without_gaps() {
-        assert_eq!(split_evenly(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
-        assert_eq!(split_evenly(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(split_evenly(0, 3), Vec::<(usize, usize)>::new());
-        let ranges = split_evenly(97, 5);
+        let split = |n, parts| {
+            let mut ranges = vec![(7, 7)]; // cleared first
+            split_evenly_into(n, parts, &mut ranges);
+            ranges
+        };
+        assert_eq!(split(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
+        assert_eq!(split(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(split(0, 3), Vec::<(usize, usize)>::new());
+        let ranges = split(97, 5);
         assert_eq!(ranges.first().map(|r| r.0), Some(0));
         assert_eq!(ranges.last().map(|r| r.1), Some(97));
         for w in ranges.windows(2) {

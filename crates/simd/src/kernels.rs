@@ -16,7 +16,6 @@
 //! | `add_to`/`sub_to`/`mul_to`     | `a ± b`, `a · b`                   |
 //! | `scale_to`/`add_scalar_to`     | `a · s`, `a + s`                   |
 //! | `square_to`/`relu_to`          | `a · a`, `a.max(0.0)`              |
-//! | `affine_channel_to`            | `(x − μ)·σ⁻¹·γ + β`                |
 //! | `sgd_update`/`adam_update`     | the optimizer step (`divps`/`sqrtps` are correctly rounded) |
 //!
 //! NaN handling: the kernels match the scalar loop on every input —
@@ -137,37 +136,6 @@ mod g {
         }
     }
 
-    /// `dst = (src − mean) · inv · gamma + beta` with four per-call
-    /// scalars — one batch-norm channel plane. Same operation order as
-    /// the scalar loop, so lane results are bit-identical to it.
-    #[inline(always)]
-    pub unsafe fn affine_channel_to<S: SimdF32>(
-        dst: &mut [f32],
-        src: &[f32],
-        mean: f32,
-        inv: f32,
-        gamma: f32,
-        beta: f32,
-    ) {
-        let n = dst.len();
-        let (mv, iv, gv, bv) = (
-            S::splat(mean),
-            S::splat(inv),
-            S::splat(gamma),
-            S::splat(beta),
-        );
-        let mut i = 0;
-        while i + S::LANES <= n {
-            let v = S::load(&src[i..]).sub(mv).mul(iv).mul(gv).add(bv);
-            v.store(&mut dst[i..]);
-            i += S::LANES;
-        }
-        while i < n {
-            dst[i] = (src[i] - mean) * inv * gamma + beta;
-            i += 1;
-        }
-    }
-
     /// One SGD-with-momentum step over a parameter slice:
     /// `g = grad[i] + wd·value[i]; vel[i] = momentum·vel[i] + g;
     /// value[i] -= lr·vel[i]`.
@@ -278,8 +246,6 @@ macro_rules! isa_kernels {
             $(#[$attr])*
             pub unsafe fn relu_to(d: &mut [f32], a: &[f32]) { g::relu_to::<$simd>(d, a) }
             $(#[$attr])*
-            pub unsafe fn affine_channel_to(d: &mut [f32], s: &[f32], mean: f32, inv: f32, ga: f32, be: f32) { g::affine_channel_to::<$simd>(d, s, mean, inv, ga, be) }
-            $(#[$attr])*
             pub unsafe fn sgd_update(va: &mut [f32], ve: &mut [f32], gr: &[f32], lr: f32, mo: f32, wd: f32) { g::sgd_update::<$simd>(va, ve, gr, lr, mo, wd) }
             $(#[$attr])*
             #[allow(clippy::too_many_arguments)]
@@ -376,16 +342,6 @@ pub fn square_to(dst: &mut [f32], a: &[f32]) {
 pub fn relu_to(dst: &mut [f32], a: &[f32]) {
     assert_eq!(dst.len(), a.len(), "relu_to: dst/a length mismatch");
     dispatch!(relu_to(dst, a))
-}
-
-/// One batch-norm channel plane: `dst[i] = (src[i] − mean)·inv·gamma + beta`.
-/// Bit-identical to the scalar loop (same operation order).
-///
-/// # Panics
-/// Panics if `dst` and `src` lengths differ.
-pub fn affine_channel_to(dst: &mut [f32], src: &[f32], mean: f32, inv: f32, gamma: f32, beta: f32) {
-    assert_eq!(dst.len(), src.len(), "affine_channel_to: length mismatch");
-    dispatch!(affine_channel_to(dst, src, mean, inv, gamma, beta))
 }
 
 /// One SGD-with-momentum step:

@@ -51,8 +51,7 @@ mod kernels;
 
 pub use int8::{dot_i8, quantize_to_i8};
 pub use kernels::{
-    adam_update, add_scalar_to, add_to, affine_channel_to, mul_to, relu_to, scale_to, sgd_update,
-    square_to, sub_to,
+    adam_update, add_scalar_to, add_to, mul_to, relu_to, scale_to, sgd_update, square_to, sub_to,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -3,9 +3,9 @@
 //! `QN_SIMD=scalar|sse2` to exercise the lower tiers on wide machines).
 //!
 //! The contract under test is the per-kernel table in `qn_simd::kernels`:
-//! lane-wise arithmetic (`add/sub/mul/scale/add_scalar/square/relu`,
-//! `affine_channel_to`) is **bit-exact** at every level — the vector ops
-//! are plain IEEE add/sub/mul/max with no fusing or reassociation — on
+//! lane-wise arithmetic (`add/sub/mul/scale/add_scalar/square/relu`) is
+//! **bit-exact** at every level — the vector ops are plain IEEE
+//! add/sub/mul/max with no fusing or reassociation — on
 //! random inputs and on every pair of edge values (±0, ±NaN, ±∞,
 //! ±subnormal, ±`f32::MAX`; NaN compared by NaN-ness).
 //!
@@ -118,21 +118,6 @@ fn arithmetic_matches_scalar(
     Ok(())
 }
 
-/// The per-channel affine against `(x − μ)·σ⁻¹·γ + β` at the forced `level`.
-fn affine_matches_scalar(
-    level: qn_simd::SimdLevel,
-    src: &[f32],
-    [mean, inv, gamma, beta]: [f32; 4],
-) -> Result<(), TestCaseError> {
-    let mut dst = vec![0.0f32; src.len()];
-    qn_simd::affine_channel_to(&mut dst, src, mean, inv, gamma, beta);
-    for (i, d) in dst.iter().enumerate() {
-        let r = (src[i] - mean) * inv * gamma + beta;
-        prop_assert!(same(*d, r), "affine @ {level:?}: {d} vs {r}");
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -144,16 +129,6 @@ proptest! {
     ) {
         for_each_level(|level| arithmetic_matches_scalar(level, &a, &b, &[s]))?;
     }
-
-    /// The per-channel affine `(x − μ)·σ⁻¹·γ + β` applies the same
-    /// operation order lane-wise → bit-exact at every level.
-    #[test]
-    fn affine_channel_is_bit_exact(
-        src in vals(61), mean in -2.0f32..2.0, inv in 0.1f32..4.0,
-        gamma in -2.0f32..2.0, beta in -2.0f32..2.0
-    ) {
-        for_each_level(|level| affine_matches_scalar(level, &src, [mean, inv, gamma, beta]))?;
-    }
 }
 
 /// The fixed edge input of [`arithmetic_kernels_are_bit_exact`]: every
@@ -164,25 +139,6 @@ proptest! {
 fn arithmetic_kernels_are_bit_exact_on_edge_values() {
     let (a, b) = edge_pairs();
     if let Err(e) = for_each_level(|level| arithmetic_matches_scalar(level, &a, &b, &EDGES)) {
-        panic!("{e}");
-    }
-}
-
-/// The fixed edge input of [`affine_channel_is_bit_exact`]: every value of
-/// [`EDGES`] as the source, under every combination of edge values for
-/// `(μ, σ⁻¹, γ, β)`.
-#[test]
-fn affine_channel_is_bit_exact_on_edge_values() {
-    let (src, _) = edge_pairs();
-    let n = EDGES.len();
-    let result = for_each_level(|level| {
-        for i in 0..n.pow(4) {
-            let params = [0, 1, 2, 3].map(|d| EDGES[i / n.pow(d) % n]);
-            affine_matches_scalar(level, &src, params)?;
-        }
-        Ok(())
-    });
-    if let Err(e) = result {
         panic!("{e}");
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use quadranet::autograd::Graph;
+use quadranet::autograd::{Exec, Graph};
 use quadranet::core::neurons::EfficientQuadraticLinear;
 use quadranet::metrics::accuracy;
 use quadranet::nn::{Linear, Module, Sgd, SgdConfig};

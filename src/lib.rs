@@ -14,7 +14,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_chunks_mut`/`par_map` |
+//! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_scope`/`par_chunks_mut`, `QN_NUM_THREADS` sizing |
 //! | [`simd`] | `qn-simd` | vectorized kernel layer: runtime SIMD dispatch, bit-identical at every level |
 //! | [`tensor`] | `qn-tensor` | dense `f32` tensors, matmul, convolution on patches packed from the image |
 //! | [`linalg`] | `qn-linalg` | symmetric eigendecomposition, spectral top-k |
@@ -32,6 +32,8 @@
 //! on the autograd tape ([`Graph`](autograd::Graph)) for training, or
 //! tape-free on an [`EagerExec`](autograd::EagerExec) arena for inference
 //! (wrapped by [`InferenceSession`](models::InferenceSession) for serving).
+//! Each op's forward value has one implementation, the eager one: the tape
+//! computes through its own `EagerExec` and adds only the backward pass.
 //!
 //! # Quickstart
 //!
@@ -40,7 +42,7 @@
 //!
 //! ```
 //! use quadranet::core::neurons::EfficientQuadraticLinear;
-//! use quadranet::autograd::Graph;
+//! use quadranet::autograd::{Exec, Graph};
 //! use quadranet::nn::Module;
 //! use quadranet::tensor::Tensor;
 //!
@@ -90,17 +92,14 @@
 //! # Scaling
 //!
 //! The hot kernels (matmul family, conv2d, pooling, the fused inference
-//! kernels, batched inference and data-parallel training) run on the
-//! [`parallel`] worker pool, sized from `QN_NUM_THREADS` (default:
+//! kernels and batched inference) run on the [`parallel`] worker pool,
+//! sized from `QN_NUM_THREADS` (default:
 //! [`std::thread::available_parallelism`]; `QN_NUM_THREADS=1` disables
 //! parallelism). Work is only ever split into disjoint output regions with
 //! sequential per-unit accumulation, so **results are bit-identical at any
-//! thread count** — `predict_batch` on one thread and on eight produce the
-//! same bits, which the workspace's property suites assert. Training with
-//! `TrainConfig::grad_shards > 1` shards each mini-batch across the pool
-//! and accumulates gradients in shard order (deterministic per shard
-//! count; batch norm then uses per-shard statistics, the standard
-//! unsynchronized data-parallel semantics).
+//! thread count** — `predict_batch` and a training run on one thread and on
+//! eight produce the same bits, which the workspace's property suites
+//! assert.
 pub use qn_autograd as autograd;
 pub use qn_core as core;
 pub use qn_data as data;
