@@ -13,9 +13,7 @@ use crate::convops::conv2d_backward;
 use crate::graph::{Graph, Var};
 use crate::matops::{bmm_transa, bmm_transb};
 use crate::{Exec, Parameter};
-use qn_tensor::{
-    avg_pool2d_backward, col2im, max_pool2d, max_pool2d_backward, Conv2dSpec, PoolSpec, Tensor,
-};
+use qn_tensor::{avg_pool2d_backward, col2im, max_pool2d_backward, Conv2dSpec, PoolSpec, Tensor};
 
 impl Exec for Graph {
     fn leaf(&mut self, t: Tensor) -> Var {
@@ -325,9 +323,7 @@ impl Exec for Graph {
     fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
         let out = self.eager.max_pool2d(x, spec);
         self.record(out, &[x], move |g, vals| {
-            let xv = vals.value(x);
-            let (_, argmax) = max_pool2d(xv, spec);
-            vec![max_pool2d_backward(&g, &argmax, xv.dims4())]
+            vec![max_pool2d_backward(&g, vals.value(x), spec)]
         })
     }
 

@@ -256,6 +256,9 @@ impl Module for EfficientQuadraticLinear {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
+        if self.n > qn_tensor::GEMM_I8_MAX_K {
+            return None;
+        }
         Some(Box::new(super::QuantizedQuadratic::from_factors(
             &self.q.value(),
             &self.lambda.value(),

@@ -18,5 +18,5 @@ pub use efficient::EfficientQuadraticLinear;
 pub use general::{GeneralQuadraticLinear, NoLinearQuadraticLinear};
 pub use kervolution::KervolutionLinear;
 pub use patch_conv::{EfficientQuadraticConv2d, PatchConv2d};
-pub use quant::{QuantizedPatchConv, QuantizedQuadratic};
+pub use quant::QuantizedQuadratic;
 pub use rank_forms::{FactorizedQuadraticLinear, LowRankQuadraticLinear, Quad1Linear, Quad2Linear};

@@ -107,12 +107,14 @@ impl<L: Module> Module for PatchConv2d<L> {
         self.inner.weight_dtype()
     }
 
+    /// A `PatchConv2d<Box<dyn Module>>` over the inner layer's twin.
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(super::QuantizedPatchConv::new(
-            self.inner.quantized()?,
-            self.in_channels,
-            self.spec,
-        )))
+        Some(Box::new(PatchConv2d {
+            inner: self.inner.quantized()?,
+            spec: self.spec,
+            in_channels: self.in_channels,
+            out_channels: self.out_channels,
+        }))
     }
 }
 

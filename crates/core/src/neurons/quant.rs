@@ -1,36 +1,35 @@
-//! Int8 twins of the quadratic-neuron layers.
+//! The int8 twin of the quadratic-neuron layer.
 //!
 //! [`QuantizedQuadratic`] is the inference-only form of
 //! [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear): each
 //! neuron's rows `[wⱼ; Qⱼ]` are stacked into one per-row int8 operand, so
-//! a single [`qn_tensor::gemm_i8`] over **one** activation quantization
-//! of `x` writes `x·wⱼ` and `fᵏ = (Qᵏ)ᵀx` straight into the vectorized
-//! output layout of §III-B. The cheap per-neuron tail
-//! (`Σᵢ λᵢ fᵢ² + b`) stays in f32: `Λᵏ` is trained at tiny learning rates
-//! and its dynamic range is what the paper's stability lemma bounds, so
-//! it is the one place 8-bit rounding would bite.
+//! a single product on `qn-nn`'s [`Int8Core`] — one activation
+//! quantization of `x`, then [`qn_tensor::gemm_i8`] — writes `x·wⱼ` and
+//! `fᵏ = (Qᵏ)ᵀx` straight into the vectorized output layout of §III-B.
+//! The cheap per-neuron tail (`Σᵢ λᵢ fᵢ² + b`) stays in f32: `Λᵏ` is
+//! trained at tiny learning rates and its dynamic range is what the
+//! paper's stability lemma bounds, so it is the one place 8-bit rounding
+//! would bite.
 //!
-//! [`QuantizedPatchConv`] redeploys any quantized dense layer as a
-//! convolution by im2col lowering, exactly like
-//! [`PatchConv2d`](super::PatchConv2d) does for the f32 original.
+//! Its convolutional form is [`PatchConv2d`](super::PatchConv2d) over the
+//! boxed twin, which [`Module::quantized`] on the f32 conv returns.
 //!
 //! Like the `qn-nn` quantized layers, forwards compute off-tape and
 //! re-enter the graph as leaves: no gradients flow.
 
 use qn_autograd::{Exec, Var};
-use qn_nn::quant::{quantize_acts, ACT_STATS_NAME};
-use qn_nn::{Costs, Module, ParamVisitor};
-use qn_tensor::{gemm_i8, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K};
-use std::sync::RwLock;
+use qn_nn::{Costs, Int8Core, Module, ParamVisitor};
+use qn_tensor::{QTensor, Tensor, GEMM_I8_MAX_K};
 
 /// Inference-only int8 form of the paper's efficient quadratic neuron
 /// layer. Build via [`Module::quantized`] on
 /// [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear) or
 /// directly with [`QuantizedQuadratic::from_factors`].
+#[derive(Clone)]
 pub struct QuantizedQuadratic {
-    /// `[m·(k+1), n]` int8, per-row scales: row `j·(k+1)` is neuron j's
-    /// `wⱼ`, the next `k` rows its `(Qᵏ)ᵀ` rows.
-    wq: QTensor,
+    /// `[m·(k+1), n]` int8, per-row scales, no bias: row `j·(k+1)` is
+    /// neuron j's `wⱼ`, the next `k` rows its `(Qᵏ)ᵀ` rows.
+    core: Int8Core,
     /// `[m, k]` f32 eigenvalues (kept full precision, see module docs).
     lambda: Tensor,
     /// `[m]` f32 bias.
@@ -39,7 +38,6 @@ pub struct QuantizedQuadratic {
     m: usize,
     k: usize,
     vectorized: bool,
-    act_stats: RwLock<Tensor>,
 }
 
 impl QuantizedQuadratic {
@@ -71,14 +69,13 @@ impl QuantizedQuadratic {
             stacked.extend_from_slice(&q.data()[j * k * n..(j + 1) * k * n]);
         }
         QuantizedQuadratic {
-            wq: QTensor::quantize_rows(&stacked, m * (k + 1), n),
+            core: Int8Core::new(QTensor::quantize_rows(&stacked, m * (k + 1), n), None),
             lambda: lambda.clone(),
             b: b.clone(),
             n,
             m,
             k,
             vectorized,
-            act_stats: RwLock::new(Tensor::zeros(&[2])),
         }
     }
 
@@ -99,22 +96,14 @@ impl QuantizedQuadratic {
     /// Total int8 + scale bytes of the `Qᵏ` and `w` rows (the f32
     /// original stores `(m·k + m)·n` floats).
     pub fn weight_bytes(&self) -> usize {
-        self.wq.weight_bytes()
+        self.core.weight().weight_bytes()
     }
 
     /// `[lead, n] -> [lead, out]` forward on raw data, off-tape.
     fn apply(&self, xd: &[f32], lead: usize) -> Vec<f32> {
-        let (m, k, n) = (self.m, self.k, self.n);
+        let (m, k) = (self.m, self.k);
         let width = m * (k + 1);
-        let (codes, sa) = quantize_acts(&self.act_stats, xd, lead, n);
-        let mut out = vec![0.0f32; lead * width];
-        gemm_i8(
-            MatMut::new(&mut out, lead, width),
-            MatRefI8::new(&codes, lead, n),
-            self.wq.mat().transpose(),
-            &sa,
-            self.wq.scales(),
-        );
+        let mut out = self.core.apply(xd, lead);
         let (lam, bias) = (self.lambda.data(), self.b.data());
         for row in out.chunks_mut(width) {
             for (j, group) in row.chunks_mut(k + 1).enumerate() {
@@ -162,7 +151,7 @@ impl Module for QuantizedQuadratic {
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.act_stats);
+        self.core.visit_params(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
@@ -174,94 +163,7 @@ impl Module for QuantizedQuadratic {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(QuantizedQuadratic {
-            wq: self.wq.clone(),
-            lambda: self.lambda.clone(),
-            b: self.b.clone(),
-            n: self.n,
-            m: self.m,
-            k: self.k,
-            vectorized: self.vectorized,
-            act_stats: RwLock::new(
-                self.act_stats
-                    .read()
-                    .expect("act_stats lock poisoned")
-                    .clone(),
-            ),
-        }))
-    }
-}
-
-/// Convolutional deployment of a quantized dense layer: the int8 sibling
-/// of [`PatchConv2d`](super::PatchConv2d), produced by its
-/// [`Module::quantized`] implementation.
-pub struct QuantizedPatchConv {
-    inner: Box<dyn Module>,
-    spec: Conv2dSpec,
-    in_channels: usize,
-    out_channels: usize,
-}
-
-impl QuantizedPatchConv {
-    /// Wraps a quantized dense layer whose input width equals
-    /// `spec.patch_len(in_channels)`.
-    pub fn new(inner: Box<dyn Module>, in_channels: usize, spec: Conv2dSpec) -> QuantizedPatchConv {
-        let n = spec.patch_len(in_channels);
-        let probe = inner.costs(&[1, n]);
-        let out_channels = probe.output[1];
-        QuantizedPatchConv {
-            inner,
-            spec,
-            in_channels,
-            out_channels,
-        }
-    }
-
-    /// Produced channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-}
-
-impl Module for QuantizedPatchConv {
-    fn forward(&self, g: &mut dyn Exec, x: Var) -> Var {
-        let c = g.value(x).dims4().1;
-        assert_eq!(
-            c, self.in_channels,
-            "expected {} channels, got {c}",
-            self.in_channels
-        );
-        self.inner.forward_patches(g, x, self.spec)
-    }
-
-    fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        self.inner.visit_params(v);
-    }
-
-    fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 4, "QuantizedPatchConv expects a 4-D input");
-        let (b, _c, h, w) = (input[0], input[1], input[2], input[3]);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let rows = b * oh * ow;
-        let n = self.spec.patch_len(self.in_channels);
-        let inner = self.inner.costs(&[rows, n]);
-        Costs {
-            macs: inner.macs,
-            output: vec![b, self.out_channels, oh, ow],
-        }
-    }
-
-    fn weight_dtype(&self) -> &'static str {
-        self.inner.weight_dtype()
-    }
-
-    fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(QuantizedPatchConv {
-            inner: self.inner.quantized()?,
-            spec: self.spec,
-            in_channels: self.in_channels,
-            out_channels: self.out_channels,
-        }))
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -270,7 +172,7 @@ mod tests {
     use super::super::{EfficientQuadraticConv2d, EfficientQuadraticLinear};
     use super::*;
     use qn_autograd::EagerExec;
-    use qn_tensor::Rng;
+    use qn_tensor::{Conv2dSpec, Rng};
 
     fn drift(a: &Tensor, b: &Tensor) -> f32 {
         let mut worst = 0.0f32;
@@ -347,8 +249,8 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for j in 0..m {
             let (rows, scales) = (
-                &s.wq.data()[j * (k + 1) * n..(j + 1) * (k + 1) * n],
-                &s.wq.scales()[j * (k + 1)..(j + 1) * (k + 1)],
+                &s.core.weight().data()[j * (k + 1) * n..(j + 1) * (k + 1) * n],
+                &s.core.weight().scales()[j * (k + 1)..(j + 1) * (k + 1)],
             );
             assert_eq!(&rows[..n], &qw.data()[j * n..(j + 1) * n]);
             assert_eq!(&rows[n..], &qq.data()[j * k * n..(j + 1) * k * n]);

@@ -535,6 +535,37 @@ mod tests {
     }
 
     #[test]
+    fn layers_past_the_int8_bound_keep_their_session_in_f32() {
+        use qn_core::neurons::{EfficientQuadraticConv2d, EfficientQuadraticLinear};
+        use qn_nn::{Conv2d, Flatten, Linear, Sequential};
+        use qn_tensor::{Conv2dSpec, GEMM_I8_MAX_K};
+        let mut rng = Rng::seed_from(23);
+        let k = GEMM_I8_MAX_K;
+        let spec = Conv2dSpec::new(3, 1, 1);
+        // 114 channels · 3 · 3 = 1026 inputs per patch
+        let wide: Vec<Box<dyn Module>> = vec![
+            Box::new(Linear::new(k + 1, 2, true, &mut rng)),
+            Box::new(Conv2d::new(114, 2, spec, true, &mut rng)),
+            Box::new(EfficientQuadraticLinear::new(k + 1, 2, 1, &mut rng)),
+            Box::new(EfficientQuadraticConv2d::efficient(
+                114, 2, 1, spec, &mut rng,
+            )),
+        ];
+        for layer in &wide {
+            assert!(layer.quantized().is_none());
+        }
+        assert!(Linear::new(k, 2, true, &mut rng).quantized().is_some());
+        assert!(EfficientQuadraticLinear::new(k, 2, 1, &mut rng)
+            .quantized()
+            .is_some());
+        let net = Sequential::new(vec![
+            Box::new(Flatten),
+            Box::new(Linear::new(k + 1, 2, true, &mut rng)),
+        ]);
+        assert!(InferenceSession::quantized(&net).is_none());
+    }
+
+    #[test]
     fn precision_parses_and_displays() {
         assert_eq!(Precision::parse("f32"), Some(Precision::F32));
         assert_eq!(Precision::parse("int8"), Some(Precision::Int8));

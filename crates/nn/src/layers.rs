@@ -3,7 +3,7 @@
 
 use crate::{kaiming_normal, Costs, Module, ParamVisitor};
 use qn_autograd::{Exec, Parameter, Var};
-use qn_tensor::{Conv2dSpec, PoolSpec, Rng, Tensor};
+use qn_tensor::{Conv2dSpec, PoolSpec, Rng, Tensor, GEMM_I8_MAX_K};
 
 /// Fully-connected layer `y = xWᵀ + b` with weight stored `[out, in]`.
 ///
@@ -130,7 +130,7 @@ impl Module for Linear {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(self.to_quantized()))
+        (self.in_features <= GEMM_I8_MAX_K).then(|| Box::new(self.to_quantized()) as _)
     }
 }
 
@@ -224,6 +224,9 @@ impl Module for Conv2d {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
+        if self.spec.patch_len(self.in_channels) > GEMM_I8_MAX_K {
+            return None;
+        }
         let bias = self.bias_value();
         Some(Box::new(crate::quant::QuantizedConv2d::new(
             &self.weight.value(),

@@ -57,7 +57,7 @@ pub use module::{visit_scoped, Costs, Module, ParamVisitor};
 pub use norm::{BatchNorm2d, LayerNorm};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, Sgd, SgdConfig};
 pub use quant::{
-    calibrate, quantize_acts, quantize_calibrated, quantize_module, read_qtensor, write_qtensor,
+    calibrate, quantize_calibrated, quantize_module, read_qtensor, write_qtensor, Int8Core,
     QuantizedConv2d, QuantizedLinear, ACT_STATS_NAME,
 };
 pub use schedule::{NoamSchedule, StepDecay};

@@ -167,6 +167,43 @@ pub trait Module: Send + Sync {
     }
 }
 
+/// A boxed module is a module: every method forwards to the box's
+/// contents, so a wrapper generic over its layer (`PatchConv2d<L>` in
+/// `qn-core`) can also hold a `Box<dyn Module>`, such as a quantized twin.
+impl<M: Module + ?Sized> Module for Box<M> {
+    fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var {
+        (**self).forward(cx, x)
+    }
+
+    fn forward_patches(&self, cx: &mut dyn Exec, x: Var, spec: Conv2dSpec) -> Var {
+        (**self).forward_patches(cx, x, spec)
+    }
+
+    fn visit_params(&self, v: &mut dyn ParamVisitor) {
+        (**self).visit_params(v)
+    }
+
+    fn params(&self) -> Vec<Parameter> {
+        (**self).params()
+    }
+
+    fn costs(&self, input: &[usize]) -> Costs {
+        (**self).costs(input)
+    }
+
+    fn param_count(&self) -> usize {
+        (**self).param_count()
+    }
+
+    fn weight_dtype(&self) -> &'static str {
+        (**self).weight_dtype()
+    }
+
+    fn quantized(&self) -> Option<Box<dyn Module>> {
+        (**self).quantized()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,14 @@
 //! Inference-only int8 layers: the runtime half of the quantized tier.
 //!
 //! [`QuantizedLinear`] and [`QuantizedConv2d`] are the int8 twins that
-//! [`Module::quantized`] produces for `Linear` and `Conv2d`. Weights are
-//! snapshotted into per-output-channel symmetric int8
-//! ([`qn_tensor::QTensor`]); activations are quantized per **row** on the
-//! fly and the product runs through [`qn_tensor::gemm_i8`], whose integer
-//! accumulation is bit-identical at every SIMD dispatch level and thread
-//! count.
+//! [`Module::quantized`] produces for `Linear` and `Conv2d`, both built on
+//! one [`Int8Core`]. Weights are snapshotted into per-output-channel
+//! symmetric int8 ([`qn_tensor::QTensor`]); activations are quantized per
+//! **row** on the fly and the product runs through [`qn_tensor::gemm_i8`],
+//! the packed `f32` GEMM loop on the widened codes, whose sums are the
+//! exact integer sums — bit-identical at every SIMD dispatch level and
+//! thread count. That holds up to [`GEMM_I8_MAX_K`] inputs; a wider layer
+//! has no quantized form (`quantized()` is `None`).
 //!
 //! # Activation scales: dynamic vs. frozen
 //!
@@ -52,34 +54,20 @@ fn new_act_stats() -> RwLock<Tensor> {
     RwLock::new(Tensor::zeros(&[2]))
 }
 
-/// Quantizes a `[rows, cols]` activation block against `stats`.
+/// Quantizes a `[rows, cols]` activation block against `stats` into
+/// `codes` and the per-row `scales` ([`gemm_i8`]'s `sa` operand), both
+/// cleared and resized.
 ///
 /// With a frozen scale, every row uses it (out-of-range values saturate).
 /// Otherwise each row is quantized with its own absmax and the batch
-/// absmax is folded into `stats[0]` — see the module docs. Returns the
-/// int8 codes and the per-row scales ([`gemm_i8`]'s `sa` operand); a
-/// zero (or non-finite-free all-zero) row gets scale `0.0` and all-zero
-/// codes, which [`gemm_i8`] turns into exact zero outputs.
+/// absmax is folded into `stats[0]` — see the module docs. A zero (or
+/// non-finite-free all-zero) row gets scale `0.0` and all-zero codes,
+/// which [`gemm_i8`] turns into exact zero outputs.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != rows * cols` or the stats lock is poisoned.
-pub fn quantize_acts(
-    stats: &RwLock<Tensor>,
-    x: &[f32],
-    rows: usize,
-    cols: usize,
-) -> (Vec<i8>, Vec<f32>) {
-    let mut codes = Vec::new();
-    let mut scales = Vec::new();
-    quantize_acts_into(stats, x, rows, cols, &mut codes, &mut scales);
-    (codes, scales)
-}
-
-/// [`quantize_acts`] writing into caller-provided buffers (cleared and
-/// resized) — the allocation-free form the inference hot path uses with
-/// per-thread scratch.
-fn quantize_acts_into(
+fn quantize_acts(
     stats: &RwLock<Tensor>,
     x: &[f32],
     rows: usize,
@@ -130,10 +118,11 @@ fn quantize_acts_into(
     }
 }
 
-/// The shared int8 matmul engine behind [`QuantizedLinear`] and
-/// [`QuantizedConv2d`]: quantized `[out, in]` weights, optional f32 bias,
-/// and the layer's activation statistics.
-struct Int8Core {
+/// The int8 matmul engine behind every quantized dense product
+/// ([`QuantizedLinear`], [`QuantizedConv2d`] and `qn-core`'s quadratic
+/// twin): quantized `[out, in]` weights, optional f32 bias, and the
+/// layer's activation statistics.
+pub struct Int8Core {
     /// Per-output-channel int8 weights, `[out, in]` row-major.
     weight: QTensor,
     /// Optional f32 bias, `[out]`.
@@ -142,7 +131,14 @@ struct Int8Core {
 }
 
 impl Int8Core {
-    fn new(weight: QTensor, bias: Option<Tensor>) -> Int8Core {
+    /// Wraps quantized `[out, in]` weights and an optional `[out]` bias,
+    /// with fresh (dynamic) activation statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bias length is not `out`, or `in` exceeds
+    /// [`GEMM_I8_MAX_K`].
+    pub fn new(weight: QTensor, bias: Option<Tensor>) -> Int8Core {
         if let Some(b) = &bias {
             assert_eq!(
                 b.numel(),
@@ -162,8 +158,23 @@ impl Int8Core {
         }
     }
 
+    /// The quantized weight matrix.
+    pub fn weight(&self) -> &QTensor {
+        &self.weight
+    }
+
+    /// Reports the activation statistics under [`ACT_STATS_NAME`]: the
+    /// `visit_params` of a layer built on this core.
+    pub fn visit_params(&self, v: &mut dyn ParamVisitor) {
+        v.state(ACT_STATS_NAME, &self.act_stats);
+    }
+
     /// `[rows, in] × [in, out] + bias`, all in int8 with an f32 epilogue.
-    fn apply(&self, x: &[f32], rows: usize) -> Vec<f32> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows · in`.
+    pub fn apply(&self, x: &[f32], rows: usize) -> Vec<f32> {
         let (k, out) = (self.weight.cols(), self.weight.rows());
         // activation codes die as soon as the GEMM consumes them, so each
         // thread reuses one scratch pair across layers and forwards
@@ -174,14 +185,12 @@ impl Int8Core {
         }
         ACT_SCRATCH.with(|scratch| {
             let (codes, sa) = &mut *scratch.borrow_mut();
-            quantize_acts_into(&self.act_stats, x, rows, k, codes, sa);
+            quantize_acts(&self.act_stats, x, rows, k, codes, sa);
             let mut y = vec![0.0f32; rows * out];
             gemm_i8(
                 MatMut::new(&mut y, rows, out),
                 MatRefI8::new(codes, rows, k),
-                // `[out, in]` row-major transposed is `[in, out]` with unit
-                // row stride, so gemm_i8 reads weight rows as contiguous
-                // columns — no packing copy.
+                // `[out, in]` row-major transposed is `[in, out]`
                 self.weight.mat().transpose(),
                 sa,
                 self.weight.scales(),
@@ -197,8 +206,10 @@ impl Int8Core {
             y
         })
     }
+}
 
-    fn clone_core(&self) -> Int8Core {
+impl Clone for Int8Core {
+    fn clone(&self) -> Int8Core {
         Int8Core {
             weight: self.weight.clone(),
             bias: self.bias.clone(),
@@ -287,7 +298,7 @@ impl Module for QuantizedLinear {
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.core.act_stats);
+        self.core.visit_params(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
@@ -308,7 +319,7 @@ impl Module for QuantizedLinear {
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
         Some(Box::new(QuantizedLinear {
-            core: self.core.clone_core(),
+            core: self.core.clone(),
             in_features: self.in_features,
             out_features: self.out_features,
         }))
@@ -386,7 +397,7 @@ impl Module for QuantizedConv2d {
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.core.act_stats);
+        self.core.visit_params(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
@@ -406,7 +417,7 @@ impl Module for QuantizedConv2d {
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
         Some(Box::new(QuantizedConv2d {
-            core: self.core.clone_core(),
+            core: self.core.clone(),
             spec: self.spec,
             in_channels: self.in_channels,
             out_channels: self.out_channels,
@@ -592,7 +603,8 @@ mod tests {
         // an input far beyond the calibrated range must saturate, not
         // rescale.
         let big = Tensor::from_vec(vec![1e6; 8], &[1, 8]).unwrap();
-        let (codes, scales) = quantize_acts(&q.core.act_stats, big.data(), 1, 8);
+        let (mut codes, mut scales) = (Vec::new(), Vec::new());
+        quantize_acts(&q.core.act_stats, big.data(), 1, 8, &mut codes, &mut scales);
         assert!(codes.iter().all(|&c| c == 127 || c == -127));
         assert!((scales[0] - q.frozen_scale()).abs() < 1e-12);
     }

@@ -380,86 +380,6 @@ where
     }
 }
 
-/// Like [`par_chunks_mut`] but splits **two** slices in lockstep: unit `i`
-/// of `a` (length `unit_a`) and unit `i` of `b` (length `unit_b`) are handed
-/// to the same call. Used by kernels with a second per-unit output (e.g.
-/// max-pooling's argmax indices).
-///
-/// # Panics
-///
-/// Panics if either unit length is zero or the slices disagree on the number
-/// of units.
-pub fn par_chunks_mut_pair<A, B, F>(a: &mut [A], unit_a: usize, b: &mut [B], unit_b: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(unit_a > 0 && unit_b > 0, "unit lengths must be positive");
-    let units = a.len().div_ceil(unit_a);
-    assert_eq!(
-        units,
-        b.len().div_ceil(unit_b),
-        "slices disagree on unit count"
-    );
-    let threads = num_threads();
-    if threads <= 1 || units <= 1 {
-        for (i, (ca, cb)) in a.chunks_mut(unit_a).zip(b.chunks_mut(unit_b)).enumerate() {
-            f(i, ca, cb);
-        }
-        return;
-    }
-    let bands = threads.min(units);
-    let units_per_band = units.div_ceil(bands);
-    let f = &f;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(bands);
-    let band_iter = a
-        .chunks_mut(units_per_band * unit_a)
-        .zip(b.chunks_mut(units_per_band * unit_b));
-    for (band_idx, (band_a, band_b)) in band_iter.enumerate() {
-        tasks.push(Box::new(move || {
-            let chunks = band_a.chunks_mut(unit_a).zip(band_b.chunks_mut(unit_b));
-            for (j, (ca, cb)) in chunks.enumerate() {
-                f(band_idx * units_per_band + j, ca, cb);
-            }
-        }));
-    }
-    par_scope(tasks);
-}
-
-/// Like [`par_chunks_mut_pair`], gated to stay on the calling thread when
-/// `a.len() < min_len` (see [`par_chunks_mut_min`]).
-///
-/// # Panics
-///
-/// As [`par_chunks_mut_pair`].
-pub fn par_chunks_mut_pair_min<A, B, F>(
-    a: &mut [A],
-    unit_a: usize,
-    b: &mut [B],
-    unit_b: usize,
-    min_len: usize,
-    f: F,
-) where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    if a.len() >= min_len {
-        par_chunks_mut_pair(a, unit_a, b, unit_b, f);
-    } else {
-        assert!(unit_a > 0 && unit_b > 0, "unit lengths must be positive");
-        assert_eq!(
-            a.len().div_ceil(unit_a),
-            b.len().div_ceil(unit_b),
-            "slices disagree on unit count"
-        );
-        for (i, (ca, cb)) in a.chunks_mut(unit_a).zip(b.chunks_mut(unit_b)).enumerate() {
-            f(i, ca, cb);
-        }
-    }
-}
-
 /// Splits `0..n` into `parts` contiguous half-open ranges whose lengths
 /// differ by at most one (the first `n % parts` ranges take the extra
 /// element), written into `out` (cleared first, capacity reused, so a
@@ -515,22 +435,6 @@ mod tests {
             }
         });
         assert_eq!(data, vec![1, 1, 1, 2, 2, 2, 3, 3, 3, 4]);
-    }
-
-    #[test]
-    fn par_chunks_mut_pair_stays_in_lockstep() {
-        let mut a = vec![0usize; 12];
-        let mut b = vec![0usize; 6];
-        par_chunks_mut_pair(&mut a, 4, &mut b, 2, |unit, ca, cb| {
-            for v in ca.iter_mut() {
-                *v = unit;
-            }
-            for v in cb.iter_mut() {
-                *v = unit * 10;
-            }
-        });
-        assert_eq!(a, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
-        assert_eq!(b, vec![0, 0, 10, 10, 20, 20]);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! build their own `#[target_feature]` kernels directly on
 //! [`arch::SimdF32`]; everything else calls the safe kernels here.
 //!
+//! The int8 tier needs one kernel of its own, the `f32 → i8` rounding pass
+//! [`quantize_to_i8`]. Its products need none: `qn-tensor`'s `gemm_i8`
+//! widens the codes to `f32` and runs the same GEMM micro-kernel, whose
+//! sums of int8 products are exact.
+//!
 //! ## Dispatch: [`SimdLevel`]
 //!
 //! The instruction set is picked **once**, at first use, by runtime
@@ -49,7 +54,7 @@ pub mod arch;
 mod int8;
 mod kernels;
 
-pub use int8::{dot_i8, quantize_to_i8};
+pub use int8::quantize_to_i8;
 pub use kernels::{
     adam_update, add_scalar_to, add_to, mul_to, relu_to, scale_to, sgd_update, square_to, sub_to,
 };

@@ -1,11 +1,10 @@
-//! The int8 lane kernels and the optimizer-update kernels against their
-//! scalar references, at **every** dispatch level reachable on this host.
+//! The int8 quantization kernel and the optimizer-update kernels against
+//! their scalar references, at **every** dispatch level reachable on this
+//! host.
 //!
 //! Like the f32 arithmetic kernels, everything in this file is
 //! **bit-exact** at every level:
 //!
-//! - `dot_i8` accumulates in i32, and integer addition is associative —
-//!   any summation order gives the same bits;
 //! - `quantize_to_i8` uses the magic-number round (identical IEEE op
 //!   sequence per lane at every level);
 //! - `sgd_update`/`adam_update` are element-local with no FMA and
@@ -39,15 +38,6 @@ fn for_each_level(
     result
 }
 
-/// Reference int8 dot in i64 (can never wrap, so it also cross-checks the
-/// kernel's documented i32 non-overflow bound at test sizes).
-fn dot_i8_ref(a: &[i8], b: &[i8]) -> i64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| x as i64 * y as i64)
-        .sum::<i64>()
-}
-
 /// Reference quantizer: the same magic-number round-to-nearest-even the
 /// kernel documents, written as the plain scalar expression.
 fn quantize_ref(src: &[f32], inv_scale: f32) -> Vec<i8> {
@@ -57,35 +47,12 @@ fn quantize_ref(src: &[f32], inv_scale: f32) -> Vec<i8> {
         .collect()
 }
 
-fn codes(n: usize) -> impl Strategy<Value = Vec<i8>> {
-    // Full symmetric code range; the kernels never produce −128 but must
-    // handle it as an input.
-    prop::collection::vec(-128i8..127, n)
-}
-
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-3.0f32..3.0, n)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `dot_i8` is bit-identical to the widened reference at every level
-    /// and every length (covers the 32/16/scalar tail boundaries).
-    #[test]
-    fn dot_i8_matches_reference_at_every_level(
-        n in 0usize..200,
-        seed_a in codes(200), seed_b in codes(200)
-    ) {
-        let a = &seed_a[..n];
-        let b = &seed_b[..n];
-        let expect = dot_i8_ref(a, b);
-        for_each_level(|level| {
-            let got = qn_simd::dot_i8(a, b) as i64;
-            prop_assert_eq!(got, expect, "dot_i8 @ {:?}", level);
-            Ok(())
-        })?;
-    }
 
     /// `quantize_to_i8` produces identical codes at every level, matching
     /// the scalar magic-number reference (ties-to-even, clamped to ±127).

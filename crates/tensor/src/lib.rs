@@ -124,8 +124,8 @@ pub use error::TensorError;
 pub use mat::{gemm, gemm_batched, gemm_patches, reference, MatMut, MatRef};
 pub use mmap::Mmap;
 pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
-    max_pool2d_into, PoolSpec,
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d_backward, max_pool2d_into,
+    PoolSpec,
 };
 pub use quant::{
     decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits, gemm_i8, gemm_i8_reference, MatRefI8,

@@ -21,6 +21,11 @@
 //!   [`gemm_patches`] packs a conv's tiles straight from the NCHW image
 //!   and stores them transposed into its output planes (the implicit GEMM
 //!   of cuDNN, Chetlur et al., arXiv:1410.0759), with no im2col matrix.
+//! - It also serves the int8 tier: [`gemm_i8`](crate::gemm_i8) packs its
+//!   int8 operands widened to `f32` and runs the same loop, whose `f32`
+//!   sums of int8 products are exact up to
+//!   [`GEMM_I8_MAX_K`](crate::GEMM_I8_MAX_K) (see [`crate::quant`]), then
+//!   scales the integer sums in one pass.
 //!
 //! # Determinism
 //!
@@ -60,11 +65,12 @@ const NR: usize = 8;
 const PACK_MIN_MACS: usize = 2048;
 
 /// Minimum multiply–accumulate count before a product fans out to the
-/// `qn-parallel` pool (the seed kernels' threshold, unchanged; shared
-/// with the int8 sibling in `quant`).
-pub(crate) const PAR_MIN_MACS: usize = 32 * 1024;
+/// `qn-parallel` pool (the seed kernels' threshold, unchanged; int8
+/// products reach the pool through the same band split).
+const PAR_MIN_MACS: usize = 32 * 1024;
 
-/// An immutable stride-aware matrix view over a borrowed `f32` slice.
+/// An immutable stride-aware matrix view over a borrowed slice of `f32`
+/// values or, as [`MatRefI8`](crate::MatRefI8), of int8 codes.
 ///
 /// `at(i, j)` reads `data[i * row_stride + j * col_stride]`; a row-major
 /// matrix has `row_stride = cols, col_stride = 1`. Because the layout is
@@ -88,21 +94,21 @@ pub(crate) const PAR_MIN_MACS: usize = 32 * 1024;
 /// # }
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct MatRef<'a> {
-    data: &'a [f32],
+pub struct MatRef<'a, T = f32> {
+    data: &'a [T],
     rows: usize,
     cols: usize,
     row_stride: usize,
     col_stride: usize,
 }
 
-impl<'a> MatRef<'a> {
+impl<'a, T: Copy> MatRef<'a, T> {
     /// Row-major contiguous view of `rows × cols`.
     ///
     /// # Panics
     ///
     /// Panics if `data` is shorter than `rows * cols`.
-    pub fn new(data: &'a [f32], rows: usize, cols: usize) -> Self {
+    pub fn new(data: &'a [T], rows: usize, cols: usize) -> Self {
         assert!(
             data.len() >= rows * cols,
             "MatRef: slice of {} elements cannot hold {rows}x{cols}",
@@ -124,7 +130,7 @@ impl<'a> MatRef<'a> {
     /// Panics if the last addressable element
     /// (`(rows-1)·row_stride + (cols-1)·col_stride`) falls outside `data`.
     pub fn with_strides(
-        data: &'a [f32],
+        data: &'a [T],
         rows: usize,
         cols: usize,
         row_stride: usize,
@@ -176,7 +182,7 @@ impl<'a> MatRef<'a> {
     /// Panics if the computed flat offset is out of bounds (debug builds
     /// additionally assert `i < rows && j < cols`).
     #[inline(always)]
-    pub fn at(&self, i: usize, j: usize) -> f32 {
+    pub fn at(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.row_stride + j * self.col_stride]
     }
@@ -271,66 +277,51 @@ impl<'a> MatMut<'a> {
 /// buffers left by earlier, smaller products cannot crowd out the ones a
 /// later loop needs. Recycled buffers have unspecified contents; the
 /// packing routines write every element, padding included.
-pub(crate) mod scratch {
+mod scratch {
     use std::cell::RefCell;
 
-    /// Buffers retained per thread per element type.
+    /// Buffers retained per thread.
     const MAX_HELD: usize = 8;
 
     thread_local! {
         static F32S: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-        static I8S: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
     }
 
     /// A `len`-element buffer with unspecified contents: the smallest
     /// cached buffer whose capacity suffices, else a new one.
-    fn take<T: Copy + Default>(cache: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
-        let fit = (0..cache.len())
-            .filter(|&i| cache[i].capacity() >= len)
-            .min_by_key(|&i| cache[i].capacity());
-        match fit {
-            Some(i) => {
-                let mut buf = cache.swap_remove(i);
-                buf.resize(len, T::default());
-                buf
+    pub fn take_f32(len: usize) -> Vec<f32> {
+        F32S.with(|cache| {
+            let cache = &mut *cache.borrow_mut();
+            let fit = (0..cache.len())
+                .filter(|&i| cache[i].capacity() >= len)
+                .min_by_key(|&i| cache[i].capacity());
+            match fit {
+                Some(i) => {
+                    let mut buf = cache.swap_remove(i);
+                    buf.resize(len, 0.0);
+                    buf
+                }
+                None => vec![0.0; len],
             }
-            None => vec![T::default(); len],
-        }
+        })
     }
 
     /// Caches `buf`; a full cache swaps out its smallest buffer if `buf`
     /// is larger, and drops `buf` otherwise.
-    fn give<T>(cache: &mut Vec<Vec<T>>, buf: Vec<T>) {
+    pub fn give_f32(buf: Vec<f32>) {
         if buf.capacity() == 0 {
             return;
         }
-        if cache.len() < MAX_HELD {
-            cache.push(buf);
-        } else if let Some(smallest) = cache.iter_mut().min_by_key(|b| b.capacity()) {
-            if smallest.capacity() < buf.capacity() {
-                *smallest = buf;
+        F32S.with(|cache| {
+            let cache = &mut *cache.borrow_mut();
+            if cache.len() < MAX_HELD {
+                cache.push(buf);
+            } else if let Some(smallest) = cache.iter_mut().min_by_key(|b| b.capacity()) {
+                if smallest.capacity() < buf.capacity() {
+                    *smallest = buf;
+                }
             }
-        }
-    }
-
-    /// Takes an `f32` buffer from this thread's cache.
-    pub fn take_f32(len: usize) -> Vec<f32> {
-        F32S.with(|cache| take(&mut cache.borrow_mut(), len))
-    }
-
-    /// Returns an `f32` buffer to this thread's cache.
-    pub fn give_f32(buf: Vec<f32>) {
-        F32S.with(|cache| give(&mut cache.borrow_mut(), buf));
-    }
-
-    /// Takes an int8 buffer (the int8 GEMM's operand-packing scratch).
-    pub fn take_i8(len: usize) -> Vec<i8> {
-        I8S.with(|cache| take(&mut cache.borrow_mut(), len))
-    }
-
-    /// Returns an int8 buffer to this thread's cache.
-    pub fn give_i8(buf: Vec<i8>) {
-        I8S.with(|cache| give(&mut cache.borrow_mut(), buf));
+        });
     }
 }
 
@@ -348,7 +339,9 @@ struct PackedB {
     panels: usize,
 }
 
-fn pack_b(b: MatRef<'_>) -> PackedB {
+/// Packs `b` through its element accessor, widening int8 codes to `f32`
+/// (exactly) on the way.
+fn pack_b<T: Copy + Into<f32>>(b: MatRef<'_, T>) -> PackedB {
     let (k, n) = (b.rows, b.cols);
     let panels = n.div_ceil(NR);
     let mut data = scratch::take_f32(panels * k * NR);
@@ -359,7 +352,7 @@ fn pack_b(b: MatRef<'_>) -> PackedB {
         for p in 0..k {
             let dst = &mut data[pbase + p * NR..pbase + (p + 1) * NR];
             for (jj, d) in dst.iter_mut().take(nr).enumerate() {
-                *d = b.at(p, j0 + jj);
+                *d = b.at(p, j0 + jj).into();
             }
             // explicit zero padding past n: the buffer may be recycled
             dst[nr..].fill(0.0);
@@ -406,22 +399,17 @@ fn run_band<A: PackA, C: StoreC>(
 }
 
 /// The left operand of the band loop, a source of `MR`-row tiles: a
-/// [`MatRef`] for [`gemm`], a conv's [`Patches`] for [`gemm_patches`].
-trait PackA: Copy + Sync {
+/// [`MatRef`] for [`gemm`] and [`gemm_i8`](crate::gemm_i8), a conv's
+/// [`Patches`] for [`gemm_patches`].
+pub(crate) trait PackA: Copy + Sync {
     /// Fills `atile[p·MR + ii]` with element `(first + ii, p)`, `p < k`,
     /// and with `+0.0` for `ii >= mr`.
     fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize);
 }
 
-impl PackA for MatRef<'_> {
-    #[inline(always)]
-    fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
-        pack_a_block(atile, *self, first, mr, k)
-    }
-}
-
-/// Packs one A block: `atile[p·MR + ii] = A[first + ii, p]`, zero-padded
-/// past `mr` so the micro-kernels always see a full `MR`-row block.
+/// Packs one A block, widening int8 codes to `f32` (exactly):
+/// `atile[p·MR + ii] = A[first + ii, p]`, zero-padded past `mr` so the
+/// micro-kernels always see a full `MR`-row block.
 ///
 /// The full-block row-contiguous case (every block but the last when `A`
 /// is untransposed — the overwhelming majority) interleaves four
@@ -429,24 +417,30 @@ impl PackA for MatRef<'_> {
 /// `at()`, which matters: for skinny products (`n ≪ m`) the pack is a
 /// constant fraction of total work. Element values are identical either
 /// way, so the specialization is bit-neutral.
-#[inline(always)]
-fn pack_a_block(atile: &mut [f32], a: MatRef<'_>, first: usize, mr: usize, k: usize) {
-    if mr == MR && a.col_stride == 1 && k > 0 {
-        let mut rows: [&[f32]; MR] = [&[]; MR];
-        for (ii, r) in rows.iter_mut().enumerate() {
-            let s = (first + ii) * a.row_stride;
-            *r = &a.data[s..s + k];
+impl<T: Copy + Into<f32> + Sync> PackA for MatRef<'_, T> {
+    #[inline(always)]
+    fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
+        if mr == MR && self.col_stride == 1 && k > 0 {
+            let mut rows: [&[T]; MR] = [&[]; MR];
+            for (ii, r) in rows.iter_mut().enumerate() {
+                let s = (first + ii) * self.row_stride;
+                *r = &self.data[s..s + k];
+            }
+            for (p, dst) in atile[..k * MR].chunks_exact_mut(MR).enumerate() {
+                for (ii, d) in dst.iter_mut().enumerate() {
+                    *d = rows[ii][p].into();
+                }
+            }
+            return;
         }
         for (p, dst) in atile[..k * MR].chunks_exact_mut(MR).enumerate() {
             for (ii, d) in dst.iter_mut().enumerate() {
-                *d = rows[ii][p];
+                *d = if ii < mr {
+                    self.at(first + ii, p).into()
+                } else {
+                    0.0
+                };
             }
-        }
-        return;
-    }
-    for (p, dst) in atile[..k * MR].chunks_exact_mut(MR).enumerate() {
-        for (ii, d) in dst.iter_mut().enumerate() {
-            *d = if ii < mr { a.at(first + ii, p) } else { 0.0 };
         }
     }
 }
@@ -714,6 +708,19 @@ pub fn gemm(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     if m < MR || n < NR || m * n * k < PACK_MIN_MACS {
         return gemm_fallback(c, a, b);
     }
+    gemm_packed(c, a, b)
+}
+
+/// The packed path of [`gemm`], which [`gemm_i8`](crate::gemm_i8) takes at
+/// every shape: packs `b` (widened to `f32`), runs the band loop over the
+/// tiles of `a` into `c`, and splits `c`'s rows into one band per pool
+/// thread once the product is large. `c` is nonempty and the shapes agree.
+pub(crate) fn gemm_packed<A: PackA, T: Copy + Into<f32> + Sync>(
+    c: MatMut<'_>,
+    a: A,
+    b: MatRef<'_, T>,
+) {
+    let (m, n, k) = (c.rows, c.cols, b.rows);
     // Resolved once per call, so every band of one product runs the same
     // code whichever pool worker executes it.
     let level = SimdLevel::active();

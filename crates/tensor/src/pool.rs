@@ -50,58 +50,28 @@ impl PoolSpec {
     }
 }
 
-/// Max pooling over `[B, C, H, W]`; returns the pooled tensor and the flat
-/// argmax index of each output element (for the backward pass).
-///
-/// # Panics
-///
-/// Panics if `input` is not 4-D or smaller than the window.
-pub fn max_pool2d(input: &Tensor, spec: PoolSpec) -> (Tensor, Vec<usize>) {
-    let (b, c, h, w) = input.dims4();
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    let mut arg = vec![0usize; b * c * oh * ow];
-    let data = input.data();
-    // One unit per (batch, channel) plane: pooled values and argmax indices
-    // for a plane are disjoint output slabs, so the sweep parallelizes over
-    // `b·c` with identical per-plane results at any thread count.
-    qn_parallel::par_chunks_mut_pair_min(
-        out.data_mut(),
-        oh * ow,
-        &mut arg,
-        oh * ow,
-        PAR_MIN_ELEMS,
-        |plane, out_plane, arg_plane| {
-            let img = plane * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..spec.window {
-                        for kx in 0..spec.window {
-                            let iy = oy * spec.stride + ky;
-                            let ix = ox * spec.stride + kx;
-                            let idx = img + iy * w + ix;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = oy * ow + ox;
-                    out_plane[o] = best;
-                    arg_plane[o] = best_idx;
-                }
+/// The largest value of window `(oy, ox)` of one `w`-wide `plane`, and its
+/// index in the plane: the first tap holding it, or the window's first tap
+/// when no value exceeds `−∞` (every tap `−∞` or NaN).
+#[inline(always)]
+fn window_max(plane: &[f32], w: usize, (oy, ox): (usize, usize), spec: PoolSpec) -> (f32, usize) {
+    let first = oy * spec.stride * w + ox * spec.stride;
+    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+    for ky in 0..spec.window {
+        for kx in 0..spec.window {
+            let idx = first + ky * w + kx;
+            if plane[idx] > best {
+                best = plane[idx];
+                best_idx = idx;
             }
-        },
-    );
-    (out, arg)
+        }
+    }
+    (best, best_idx)
 }
 
-/// Values-only [`max_pool2d`] into a caller-provided buffer of
-/// `B·C·OH·OW` elements (fully overwritten) — the inference path, which
-/// never needs the argmax indices and so skips their allocation entirely.
-/// Bit-identical to the values returned by [`max_pool2d`].
+/// Max pooling over `[B, C, H, W]` into a caller-provided buffer of
+/// `B·C·OH·OW` elements (fully overwritten). A window with no value above
+/// `−∞` (every tap `−∞` or NaN) pools to `−∞`.
 ///
 /// # Panics
 ///
@@ -116,45 +86,38 @@ pub fn max_pool2d_into(dst: &mut [f32], input: &Tensor, spec: PoolSpec) {
         "max_pool2d_into length mismatch"
     );
     let data = input.data();
-    // Same plane split and scan order as max_pool2d.
-    qn_parallel::par_chunks_mut_min(dst, oh * ow, PAR_MIN_ELEMS, |plane, out_plane| {
-        let img = plane * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..spec.window {
-                    for kx in 0..spec.window {
-                        let iy = oy * spec.stride + ky;
-                        let ix = ox * spec.stride + kx;
-                        let v = data[img + iy * w + ix];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                out_plane[oy * ow + ox] = best;
-            }
+    // One unit per (batch, channel) plane: identical per-plane results at
+    // any thread count.
+    qn_parallel::par_chunks_mut_min(dst, oh * ow, PAR_MIN_ELEMS, |p, out_plane| {
+        let plane = &data[p * h * w..(p + 1) * h * w];
+        for (o, v) in out_plane.iter_mut().enumerate() {
+            *v = window_max(plane, w, (o / ow, o % ow), spec).0;
         }
     });
 }
 
-/// Backward pass of [`max_pool2d`]: routes each output gradient to the
-/// winning input position.
+/// Backward pass of max pooling over the `[B, C, H, W]` input `x`: routes
+/// each output gradient of `grad` (`[B, C, OH, OW]`) to its window's winner
+/// — the first tap holding the maximum, or the window's first tap when no
+/// value exceeds `−∞` — accumulating in output order.
 ///
 /// # Panics
 ///
-/// Panics if `grad.numel() != argmax.len()`.
-pub fn max_pool2d_backward(
-    grad: &Tensor,
-    argmax: &[usize],
-    input_dims: (usize, usize, usize, usize),
-) -> Tensor {
-    assert_eq!(grad.numel(), argmax.len(), "grad/argmax length mismatch");
-    let (b, c, h, w) = input_dims;
+/// Panics if `grad`'s dims are not the pooled dims of `x`.
+pub fn max_pool2d_backward(grad: &Tensor, x: &Tensor, spec: PoolSpec) -> Tensor {
+    let (b, c, h, w) = x.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
+    assert_eq!(grad.dims4(), (b, c, oh, ow), "grad geometry mismatch");
     let mut out = Tensor::zeros(&[b, c, h, w]);
-    for (g, &idx) in grad.data().iter().zip(argmax.iter()) {
-        out.data_mut()[idx] += g;
-    }
+    let (data, gdata) = (x.data(), grad.data());
+    // Windows route only within their own plane, so the scatter
+    // parallelizes over planes with the in-plane order unchanged.
+    qn_parallel::par_chunks_mut_min(out.data_mut(), h * w, PAR_MIN_ELEMS, |p, out_plane| {
+        let plane = &data[p * h * w..(p + 1) * h * w];
+        for (o, &g) in gdata[p * oh * ow..(p + 1) * oh * ow].iter().enumerate() {
+            out_plane[window_max(plane, w, (o / ow, o % ow), spec).1] += g;
+        }
+    });
     out
 }
 
@@ -256,19 +219,47 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let (y, arg) = max_pool2d(&x, PoolSpec::new(2, 2));
-        assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
-        assert_eq!(arg, vec![5, 7, 13, 15]);
+        let mut y = [0.0f32; 4];
+        max_pool2d_into(&mut y, &x, PoolSpec::new(2, 2));
+        assert_eq!(y, [6.0, 8.0, 14.0, 16.0]);
+        let g = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
+        let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 2));
+        let mut want = [0.0f32; 16];
+        (want[5], want[7], want[13], want[15]) = (1.0, 2.0, 3.0, 4.0);
+        assert_eq!(back.data(), &want);
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 5.0, 2.0, 3.0], &[1, 1, 2, 2]).unwrap();
-        let (_, arg) = max_pool2d(&x, PoolSpec::new(2, 2));
         let g = Tensor::from_vec(vec![2.5], &[1, 1, 1, 1]).unwrap();
-        let back = max_pool2d_backward(&g, &arg, (1, 1, 2, 2));
+        let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 2));
         assert_eq!(back.data(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_backward_keeps_an_all_neg_inf_window_in_its_plane() {
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, f32::NAN],
+            &[1, 2, 2, 2],
+        )
+        .unwrap();
+        let mut y = [0.0f32; 2];
+        max_pool2d_into(&mut y, &x, PoolSpec::new(2, 2));
+        assert_eq!(y, [4.0, ninf]);
+        let g = Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]).unwrap();
+        let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 2));
+        assert_eq!(back.data(), &[0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_backward_accumulates_overlapping_windows() {
+        // 2×2 windows at stride 1: the 9 wins both, so its gradients add
+        let x = Tensor::from_vec(vec![1.0, 9.0, 2.0, 0.0, 0.0, 0.0], &[1, 1, 2, 3]).unwrap();
+        let g = Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]).unwrap();
+        let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 1));
+        assert_eq!(back.data(), &[0.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

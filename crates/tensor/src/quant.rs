@@ -1,5 +1,5 @@
 //! The int8/f16 precision tier: quantized weight storage ([`QTensor`]),
-//! an int8 GEMM sibling of the packed core ([`gemm_i8`]), and software
+//! the int8 GEMM on the packed `f32` core ([`gemm_i8`]), and software
 //! `f32 ↔ f16` bit conversion (no half-precision hardware or external
 //! crates required).
 //!
@@ -19,25 +19,32 @@
 //!
 //! # Determinism of [`gemm_i8`]
 //!
-//! The inner product accumulates in `i32`, and integer addition is
-//! associative — any split of the `k` loop, any SIMD width, and any
-//! thread count produce the same accumulator bit-for-bit. The epilogue
-//! multiplies `acc as f32` by the two scales in one fixed order. So,
-//! like the f32 core, the int8 GEMM is **bit-identical across dispatch
-//! levels and thread counts**.
+//! [`gemm_i8`] widens both int8 operands to `f32` as it packs them and runs
+//! the `f32` GEMM band loop. Every product of two codes is an integer of
+//! magnitude at most `128² = 2¹⁴`, and every partial sum of at most
+//! [`GEMM_I8_MAX_K`] of them is an integer of magnitude at most `2²⁴`, so
+//! each is exact in `f32`: the accumulator equals the integer sum
+//! (integer-accumulated per-channel inference, Jacob et al.,
+//! arXiv:1712.05877), whatever the SIMD level, band split or thread count.
+//! The epilogue multiplies it by the two scales in one fixed order, so
+//! [`gemm_i8`] is **bit-identical** to its `i32` specification
+//! [`gemm_i8_reference`] across dispatch levels and thread counts.
 //!
 //! # Accumulator range
 //!
-//! `|a·b| ≤ 127² = 16129` per product, so the `i32` accumulator is safe
-//! for any `k` up to ~133 000 — far beyond every layer shape in the
-//! workspace (documented in `qn_simd::dot_i8`; [`gemm_i8`] asserts it).
+//! Every integer of magnitude at most `2²⁴` is an `f32`, and `2²⁴ + 1` is
+//! not, so [`gemm_i8`] asserts `k ≤` [`GEMM_I8_MAX_K`] `= 2²⁴ / 2¹⁴ = 1024`.
+//! The widest reduction of an int8 layer in the workspace is 576 (a 3×3
+//! convolution over 64 channels). A layer wider than the bound has no
+//! quantized form, so a model that holds one has no int8 twin and serves
+//! in `f32`.
 
-use crate::mat::{scratch, MatMut, PAR_MIN_MACS};
+use crate::mat::{gemm_packed, MatMut, MatRef};
 use crate::{Tensor, TensorError};
 
-/// Largest inner dimension [`gemm_i8`] accepts: beyond this the i32
-/// accumulator of `qn_simd::dot_i8` could overflow (see module docs).
-pub const GEMM_I8_MAX_K: usize = 130_000;
+/// Largest inner dimension [`gemm_i8`] accepts: up to this every `f32`
+/// partial sum of int8 products is exact (see module docs).
+pub const GEMM_I8_MAX_K: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // f16 bit conversion
@@ -126,130 +133,10 @@ pub fn decode_f16(src: &[u16]) -> Vec<f32> {
     src.iter().map(|&h| f16_bits_to_f32(h)).collect()
 }
 
-// ---------------------------------------------------------------------------
-// MatRefI8
-// ---------------------------------------------------------------------------
-
-/// An immutable stride-aware int8 matrix view — the [`crate::MatRef`]
-/// sibling for quantized operands. `at(i, j)` reads
-/// `data[i * row_stride + j * col_stride]`; [`transpose`](MatRefI8::transpose)
-/// is a stride swap, zero-copy.
-#[derive(Clone, Copy, Debug)]
-pub struct MatRefI8<'a> {
-    data: &'a [i8],
-    rows: usize,
-    cols: usize,
-    row_stride: usize,
-    col_stride: usize,
-}
-
-impl<'a> MatRefI8<'a> {
-    /// Row-major contiguous view of `rows × cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is shorter than `rows * cols`.
-    pub fn new(data: &'a [i8], rows: usize, cols: usize) -> Self {
-        assert!(
-            data.len() >= rows * cols,
-            "MatRefI8: slice of {} elements cannot hold {rows}x{cols}",
-            data.len()
-        );
-        MatRefI8 {
-            data,
-            rows,
-            cols,
-            row_stride: cols,
-            col_stride: 1,
-        }
-    }
-
-    /// General strided view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last addressable element falls outside `data`.
-    pub fn with_strides(
-        data: &'a [i8],
-        rows: usize,
-        cols: usize,
-        row_stride: usize,
-        col_stride: usize,
-    ) -> Self {
-        if rows > 0 && cols > 0 {
-            let last = (rows - 1) * row_stride + (cols - 1) * col_stride;
-            assert!(
-                last < data.len(),
-                "MatRefI8: {rows}x{cols} view with strides ({row_stride}, {col_stride}) \
-                 exceeds slice of {} elements",
-                data.len()
-            );
-        }
-        MatRefI8 {
-            data,
-            rows,
-            cols,
-            row_stride,
-            col_stride,
-        }
-    }
-
-    /// The transposed view: swaps dims and strides. Zero-copy.
-    pub fn transpose(self) -> Self {
-        MatRefI8 {
-            data: self.data,
-            rows: self.cols,
-            cols: self.rows,
-            row_stride: self.col_stride,
-            col_stride: self.row_stride,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the computed flat offset is out of bounds (debug builds
-    /// additionally assert `i < rows && j < cols`).
-    #[inline(always)]
-    pub fn at(&self, i: usize, j: usize) -> i8 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.row_stride + j * self.col_stride]
-    }
-
-    /// Row `i` as a contiguous slice, if `col_stride == 1`.
-    #[inline]
-    fn contiguous_row(&self, i: usize) -> Option<&'a [i8]> {
-        if self.col_stride == 1 {
-            let base = i * self.row_stride;
-            Some(&self.data[base..base + self.cols])
-        } else {
-            None
-        }
-    }
-
-    /// Column `j` as a contiguous slice, if `row_stride == 1` (a
-    /// transposed view of a row-major matrix).
-    #[inline]
-    fn contiguous_col(&self, j: usize) -> Option<&'a [i8]> {
-        if self.row_stride == 1 {
-            let base = j * self.col_stride;
-            Some(&self.data[base..base + self.rows])
-        } else {
-            None
-        }
-    }
-}
+/// An immutable stride-aware view of int8 codes: the [`MatRef`] of the
+/// quantized operands. [`transpose`](MatRef::transpose) is a stride swap,
+/// zero-copy, so a row-major `[n, k]` weight is a `[k, n]` right operand.
+pub type MatRefI8<'a> = MatRef<'a, i8>;
 
 // ---------------------------------------------------------------------------
 // QTensor
@@ -429,15 +316,18 @@ impl QTensor {
 /// scales (length `n`); for the canonical `x · Wᵀ` layer product, pass
 /// the activation row scales as `sa` and the weight per-channel scales
 /// as `sb` (B being the transposed weight view, its columns are weight
-/// rows). The epilogue is the fixed order `(acc as f32 · sa[i]) · sb[j]`.
+/// rows). The sums run through the packed `f32` band loop of
+/// [`gemm`](crate::gemm),
+/// exact for int8 codes (see module docs); one pass then scales each in
+/// the fixed order `(acc · sa[i]) · sb[j]`.
 ///
-/// **Bit-identical** across dispatch levels and thread counts — integer
-/// accumulation is associative (see module docs).
+/// **Bit-identical** to [`gemm_i8_reference`] across dispatch levels and
+/// thread counts.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch, scale-length mismatch, or
-/// `k > GEMM_I8_MAX_K` (i32 accumulator bound).
+/// `k > GEMM_I8_MAX_K` (the exactness bound).
 pub fn gemm_i8(c: MatMut<'_>, a: MatRefI8<'_>, b: MatRefI8<'_>, sa: &[f32], sb: &[f32]) {
     let k = a.cols();
     let (cdata, m, n, row_stride) = c.into_raw();
@@ -463,75 +353,16 @@ pub fn gemm_i8(c: MatMut<'_>, a: MatRefI8<'_>, b: MatRefI8<'_>, sa: &[f32], sb: 
     );
     assert!(
         k <= GEMM_I8_MAX_K,
-        "gemm_i8: k = {k} exceeds the i32 accumulator bound {GEMM_I8_MAX_K}"
+        "gemm_i8: k = {k} exceeds the exactness bound {GEMM_I8_MAX_K}"
     );
     if m == 0 || n == 0 {
         return;
     }
-    let len = (m - 1) * row_stride + n;
-    let cdata = &mut cdata[..len];
-    if k == 0 {
-        for crow in cdata.chunks_mut(row_stride) {
-            let w = n.min(crow.len());
-            crow[..w].fill(0.0);
+    gemm_packed(MatMut::with_row_stride(cdata, m, n, row_stride), a, b);
+    for (crow, &si) in cdata.chunks_mut(row_stride).zip(sa) {
+        for (o, &sj) in crow[..n].iter_mut().zip(sb) {
+            *o = *o * si * sj;
         }
-        return;
-    }
-    // Pack B's columns contiguously unless the view already is (a
-    // transposed row-major matrix — the weight case). The pack is shared
-    // read-only by every band worker.
-    let bt_packed: Option<Vec<i8>> = if b.contiguous_col(0).is_some() {
-        None
-    } else {
-        let mut bt = scratch::take_i8(n * k);
-        for j in 0..n {
-            let dst = &mut bt[j * k..(j + 1) * k];
-            for (p, d) in dst.iter_mut().enumerate() {
-                *d = b.at(p, j);
-            }
-        }
-        Some(bt)
-    };
-    let col_of = |j: usize| -> &[i8] {
-        match &bt_packed {
-            Some(bt) => &bt[j * k..(j + 1) * k],
-            None => b.contiguous_col(j).expect("checked contiguous above"),
-        }
-    };
-    let row_kernel = |i: usize, crow: &mut [f32]| {
-        let crow = &mut crow[..n];
-        // Row of A contiguously, packing through this worker's scratch
-        // only when the view is strided.
-        let (arow, apack) = match a.contiguous_row(i) {
-            Some(r) => (r, None),
-            None => {
-                let mut buf = scratch::take_i8(k);
-                for (p, d) in buf.iter_mut().enumerate() {
-                    *d = a.at(i, p);
-                }
-                // borrow dance: move the buffer out, keep a raw range
-                (&[][..], Some(buf))
-            }
-        };
-        let arow: &[i8] = apack.as_deref().unwrap_or(arow);
-        let si = sa[i];
-        for (j, o) in crow.iter_mut().enumerate() {
-            let acc = qn_simd::dot_i8(arow, col_of(j));
-            *o = acc as f32 * si * sb[j];
-        }
-        if let Some(buf) = apack {
-            scratch::give_i8(buf);
-        }
-    };
-    if m * n * k >= PAR_MIN_MACS {
-        qn_parallel::par_chunks_mut(cdata, row_stride, row_kernel);
-    } else {
-        for (i, crow) in cdata.chunks_mut(row_stride).enumerate() {
-            row_kernel(i, crow);
-        }
-    }
-    if let Some(bt) = bt_packed {
-        scratch::give_i8(bt);
     }
 }
 
@@ -661,15 +492,15 @@ mod tests {
         gemm_i8_reference(&mut want, av, bt, &sa, &sb);
         let mut got = vec![0.0f32; m * n];
         gemm_i8(MatMut::new(&mut got, m, n), av, bt, &sa, &sb);
-        assert_eq!(got, want, "transposed-B (contiguous-col) path");
-        // b stored row-major [k, n]: forces the packing path
+        assert_eq!(got, want, "transposed-B (weight view)");
+        // b stored row-major [k, n]
         let bk: Vec<i8> = (0..k * n)
             .map(|_| rng.uniform(-127.0, 127.0) as i8)
             .collect();
         let bv = MatRefI8::new(&bk, k, n);
         gemm_i8_reference(&mut want, av, bv, &sa, &sb);
         gemm_i8(MatMut::new(&mut got, m, n), av, bv, &sa, &sb);
-        assert_eq!(got, want, "row-major-B (packed) path");
+        assert_eq!(got, want, "row-major B");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! - quantize→dequantize error is bounded by half a quantization step per
 //!   element (per-channel symmetric absmax: step = channel absmax / 127),
 //! - `gemm_i8` is **bit-identical** to its sequential scalar reference at
-//!   every dispatch level reachable on this host, for both the packed
-//!   (plain row-major B) and pack-free (transposed weight view) paths,
+//!   every dispatch level reachable on this host, for plain row-major and
+//!   transposed-weight B, from the empty sum (`k = 0`) to the exactness
+//!   bound (`k = GEMM_I8_MAX_K`) and across the multi-band parallel split,
 //! - f16 round-trips keep half-precision accuracy and survive a second
 //!   encode bit-exactly.
 //!
@@ -14,7 +15,7 @@
 use proptest::prelude::*;
 use qn_tensor::{
     decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits, gemm_i8, gemm_i8_reference, MatMut,
-    MatRefI8, QTensor, Tensor,
+    MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K,
 };
 use std::sync::Mutex;
 
@@ -35,6 +36,41 @@ fn for_each_level(
     }
     qn_simd::force_level(prev);
     result
+}
+
+/// `gemm_i8` on `[m, k] × [k, n]` codes against `gemm_i8_reference`, bit
+/// for bit, at every level, at the pool's thread count and at one thread.
+fn check_gemm_i8(
+    (m, k, n): (usize, usize, usize),
+    a: &[i8],
+    b: &[i8],
+    sa: &[f32],
+    sb: &[f32],
+) -> Result<(), TestCaseError> {
+    let (av, bv) = (MatRefI8::new(a, m, k), MatRefI8::new(b, k, n));
+    let mut expect = vec![0.0f32; m * n];
+    gemm_i8_reference(&mut expect, av, bv, sa, sb);
+    for_each_level(|level| {
+        for threads in [qn_parallel::num_threads(), 1] {
+            let mut got = vec![f32::NAN; m * n];
+            qn_parallel::with_max_threads(threads, || {
+                gemm_i8(MatMut::new(&mut got, m, n), av, bv, sa, sb)
+            });
+            for (g, e) in got.iter().zip(&expect) {
+                prop_assert_eq!(
+                    g.to_bits(),
+                    e.to_bits(),
+                    "gemm_i8 {}x{}x{} @ {:?}, {} threads",
+                    m,
+                    k,
+                    n,
+                    level,
+                    threads
+                );
+            }
+        }
+        Ok(())
+    })
 }
 
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -141,6 +177,18 @@ proptest! {
         })?;
     }
 
+    /// Products of at least `PAR_MIN_MACS = 32768` MACs split into one
+    /// band of rows per pool thread; every split gives the reference bits.
+    #[test]
+    fn gemm_i8_band_split_matches_reference(
+        m in 48usize..80, k in 48usize..96, n in 16usize..33,
+        a in codes(80 * 96), b in codes(96 * 33),
+        sa in vals(80), sb in vals(33)
+    ) {
+        prop_assert!(m * n * k >= 32 * 1024);
+        check_gemm_i8((m, k, n), &a[..m * k], &b[..k * n], &sa[..m], &sb[..n])?;
+    }
+
     /// A strided output (row_stride > n) only writes inside each row's
     /// first `n` lanes — the gutter survives untouched.
     #[test]
@@ -210,4 +258,57 @@ proptest! {
         prop_assert_eq!(qa.data(), qb.data());
         prop_assert_eq!(qa.scales(), qb.scales());
     }
+}
+
+/// The widest exact reduction: `k = 1024` products of two `−128` codes sum
+/// to exactly `2²⁴` in every output, and alternating `±127` codes whose
+/// signs agree reach `1024 · 127²` through partial sums that all stay exact.
+#[test]
+fn gemm_i8_is_exact_at_k_max() {
+    let (m, k, n) = (5, GEMM_I8_MAX_K, 9);
+    let (sa, sb) = ([0.5, -0.25, 1.0, 3.0, -1.5], [1.0f32; 9]);
+    let lowest = vec![-128i8; m.max(n) * k];
+    let got = check_gemm_i8((m, k, n), &lowest[..m * k], &lowest[..k * n], &sa, &sb);
+    got.expect("k = 1024 of −128 · −128");
+    let sign = |p: usize| if p.is_multiple_of(2) { 127i8 } else { -127 };
+    let a: Vec<i8> = (0..m * k).map(|i| sign(i % k)).collect();
+    let b: Vec<i8> = (0..k * n).map(|i| sign(i / n)).collect();
+    check_gemm_i8((m, k, n), &a, &b, &sa, &sb).expect("k = 1024 of ±127 · ±127");
+    let mut out = [0.0f32; 45];
+    let (av, bv) = (MatRefI8::new(&a, m, k), MatRefI8::new(&b, k, n));
+    gemm_i8(MatMut::new(&mut out, m, n), av, bv, &sa, &sb);
+    assert_eq!(out[0], (1024 * 127 * 127) as f32 * 0.5);
+}
+
+/// The empty sum is `0 · sa[i] · sb[j]`: `−0.0` where the two scales'
+/// signs differ, as in the reference.
+#[test]
+fn gemm_i8_k_zero_scales_a_signed_zero() {
+    let (sa, sb) = ([-0.5, 1.0], [2.0, -3.0, 0.0]);
+    check_gemm_i8((2, 0, 3), &[], &[], &sa, &sb).expect("k = 0");
+    let mut out = [7.0f32; 6];
+    gemm_i8(
+        MatMut::new(&mut out, 2, 3),
+        MatRefI8::new(&[], 2, 0),
+        MatRefI8::new(&[], 0, 3),
+        &sa,
+        &sb,
+    );
+    let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, [0x8000_0000, 0, 0x8000_0000, 0, 0x8000_0000, 0]);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the exactness bound")]
+fn gemm_i8_rejects_k_past_the_bound() {
+    let k = GEMM_I8_MAX_K + 1;
+    let codes = vec![1i8; k];
+    let mut out = [0.0f32; 1];
+    gemm_i8(
+        MatMut::new(&mut out, 1, 1),
+        MatRefI8::new(&codes, 1, k),
+        MatRefI8::new(&codes, k, 1),
+        &[1.0],
+        &[1.0],
+    );
 }
