@@ -312,6 +312,19 @@ pub trait Exec {
     /// Panics if `p` is not in `[0, 1)`.
     fn dropout(&mut self, x: Var, p: f32) -> Var;
 
+    /// A value computed off the tape from `x`: `f` writes every element of
+    /// the `dims`-shaped output from `x`'s value, and the result enters as
+    /// a leaf, so no gradient flows back to `x`. The int8 layers compute
+    /// through it. The default allocates the output and calls
+    /// [`leaf`](Exec::leaf), which the tape runs; `EagerExec` writes into
+    /// its next arena slot instead, so a steady-state pass allocates
+    /// nothing.
+    fn detached(&mut self, x: Var, dims: &[usize], f: &dyn Fn(&Tensor, &mut [f32])) -> Var {
+        let mut out = Tensor::zeros(dims);
+        f(self.value(x), out.data_mut());
+        self.leaf(out)
+    }
+
     // ----- fused composites -----------------------------------------------
     //
     // Composite ops with a default decomposition into the primitives above.
@@ -485,6 +498,8 @@ pub trait Exec {
 ///   allocations** — `crates/bench/tests/contracts.rs` checks this with a
 ///   counting allocator. With more threads, each parallel region boxes
 ///   its tasks.
+/// - **Off-tape values** ([`Exec::detached`], the int8 layers' outputs)
+///   are written into the next slot like every op's.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the
 ///   stacked `[wⱼ; Qⱼ]` operand of the quadratic ops, per-channel `1/σ`
 ///   vectors in batch norm) is drawn from — and returned to — the arena's
@@ -1300,6 +1315,12 @@ impl Exec for EagerExec {
         );
         // inference mode: identity (no new node needed)
         x
+    }
+
+    fn detached(&mut self, x: Var, dims: &[usize], f: &dyn Fn(&Tensor, &mut [f32])) -> Var {
+        let (head, slot) = self.out_slot();
+        f(live_val(head, x), refit_slot(slot, dims).data_mut());
+        self.commit()
     }
 
     fn quadratic_neurons(

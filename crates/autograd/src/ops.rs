@@ -7,7 +7,8 @@
 //! computed here. The composites (`elemwise_chain`, `quadratic_neurons`,
 //! `quadratic_conv2d`, `rows_to_nchw`, `weighted_square_sum`,
 //! `interleave_last`) and `neg`, `mean_all` and `mean_axis` keep their
-//! default decompositions, so the tape records the primitives they run.
+//! default decompositions, so the tape records the primitives they run;
+//! `detached` keeps its default too, so its value is a leaf.
 
 use crate::convops::conv2d_backward;
 use crate::graph::{Graph, Var};

@@ -1,9 +1,10 @@
 //! Regression tests: non-finite values must propagate through the matmul
 //! ops of **both** execution contexts (taped [`Graph`] and tape-free
 //! [`EagerExec`]): the shared GEMM core never skips a zero coefficient.
+//! Max pooling propagates a NaN tap too, forward and backward.
 
 use qn_autograd::{EagerExec, Exec, Graph, Var};
-use qn_tensor::{Conv2dSpec, Tensor};
+use qn_tensor::{Conv2dSpec, PoolSpec, Tensor};
 
 fn t(data: &[f32], dims: &[usize]) -> Tensor {
     Tensor::from_vec(data.to_vec(), dims).expect("test tensor")
@@ -122,6 +123,32 @@ fn conv2d_propagates_nan_in_both_contexts() {
         assert!(out.data()[0].is_nan(), "patch covering the NaN pixel");
         assert_eq!(out.data()[3], 0.0, "patches past the pixel stay exact");
     }
+}
+
+#[test]
+fn max_pool_propagates_nan_in_both_contexts_and_backward() {
+    // plane 0's window holds a NaN after its largest value, plane 1's
+    // holds none: the NaN pools through, and the gradient goes to its tap
+    let x = t(
+        &[9.0, 1.0, f32::NAN, 2.0, 1.0, 4.0, 3.0, 2.0],
+        &[1, 2, 2, 2],
+    );
+    let spec = PoolSpec::new(2, 2);
+    let (taped, eager) = both(|cx| {
+        let xv = cx.leaf(x.clone());
+        cx.max_pool2d(xv, spec)
+    });
+    for out in [&taped, &eager] {
+        assert!(out.data()[0].is_nan(), "a NaN tap must win its window");
+        assert_eq!(out.data()[1], 4.0, "a window without NaN is unchanged");
+    }
+    let mut g = Graph::new();
+    let xv = g.leaf(x.clone());
+    let y = g.max_pool2d(xv, spec);
+    let s = g.sum_all(y);
+    g.backward(s);
+    let dx = g.grad(xv).expect("grad reaches x");
+    assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! The allocation contracts, measured with the counting global allocator:
 //!
 //! 1. after warm-up, `InferenceSession::predict` on the paper's quadratic
-//!    ResNet-20 and on its linear baseline, at 16 and then 32 px, makes
-//!    **zero** allocations and zero frees, and still returns the cold
-//!    output bit for bit. The four sessions run one after another on one
-//!    thread, so each one also checks that scratch left by the products
-//!    of the earlier ones does not make it allocate;
+//!    ResNet-20, on its linear baseline and on the quadratic one's
+//!    calibrated int8 twin, at 16 and then 32 px, makes **zero**
+//!    allocations and zero frees, and still returns the cold output bit
+//!    for bit. The six sessions run one after another on one thread, so
+//!    each one also checks that scratch left by the products of the
+//!    earlier ones does not make it allocate;
 //! 2. a `LoadMode::Mapped` checkpoint load leaves every parameter mapped,
 //!    predicts bit-identically to the saved model, and allocates at least
 //!    the parameter bytes less than a `LoadMode::Copy` load — it copies no
@@ -39,11 +40,27 @@ fn resnet20(neuron: NeuronSpec, seed: u64) -> ResNet {
 
 const QUADRATIC: NeuronSpec = NeuronSpec::EfficientQuadratic { rank: 9 };
 
-fn predict_is_allocation_free(neuron: NeuronSpec, px: usize) {
+/// The tiers a contract session serves in.
+#[derive(Clone, Copy, Debug)]
+enum Tier {
+    F32,
+    /// The int8 twin, calibrated on two batches (frozen scales).
+    Int8,
+}
+
+fn predict_is_allocation_free(neuron: NeuronSpec, tier: Tier, px: usize) {
     let net = resnet20(neuron, 47);
     let x = Tensor::randn(&[3, px, px], &mut Rng::seed_from(48));
     qn_parallel::with_max_threads(1, || {
-        let mut session = InferenceSession::new(&net);
+        let mut session = match tier {
+            Tier::F32 => InferenceSession::new(&net),
+            Tier::Int8 => {
+                let mut rng = Rng::seed_from(49);
+                let calib = (0..2).map(|_| Tensor::randn(&[2, 3, px, px], &mut rng));
+                InferenceSession::quantized_calibrated(&net, calib.collect::<Vec<_>>())
+                    .expect("ResNet-20 has an int8 twin")
+            }
+        };
         let cold = session.predict(&x);
         // a few rounds so every pool bucket reaches steady state
         for _ in 0..3 {
@@ -60,17 +77,20 @@ fn predict_is_allocation_free(neuron: NeuronSpec, px: usize) {
         assert_eq!(
             (steady.allocations, steady.frees),
             (0, 0),
-            "{neuron:?} at {px} px: 10 steady-state predicts made {} allocations and {} frees",
+            "{tier:?} {neuron:?} at {px} px: 10 steady-state predicts made {} allocations and \
+             {} frees",
             steady.allocations,
             steady.frees
         );
         assert!(
             last.bit_identical(&cold),
-            "{neuron:?} at {px} px: the steady state must reproduce the cold output bit for bit"
+            "{tier:?} {neuron:?} at {px} px: the steady state must reproduce the cold output bit \
+             for bit"
         );
     });
     println!(
-        "contracts: steady-state predict on {neuron:?} ResNet-20 at {px} px is allocation-free"
+        "contracts: steady-state predict on {tier:?} {neuron:?} ResNet-20 at {px} px is \
+         allocation-free"
     );
 }
 
@@ -145,8 +165,9 @@ fn main() {
     // spawn the worker pool first: thread startup allocates
     let _ = qn_parallel::pool_threads();
     for px in [16, 32] {
-        predict_is_allocation_free(QUADRATIC, px);
-        predict_is_allocation_free(NeuronSpec::Linear, px);
+        predict_is_allocation_free(QUADRATIC, Tier::F32, px);
+        predict_is_allocation_free(NeuronSpec::Linear, Tier::F32, px);
+        predict_is_allocation_free(QUADRATIC, Tier::Int8, px);
     }
     mapped_load_copies_no_parameter_bytes();
 }

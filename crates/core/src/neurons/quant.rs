@@ -12,14 +12,21 @@
 //! would bite.
 //!
 //! Its convolutional form is [`PatchConv2d`](super::PatchConv2d) over the
-//! boxed twin, which [`Module::quantized`] on the f32 conv returns.
+//! boxed twin, which [`Module::quantized`] on the f32 conv returns. Its
+//! [`Module::forward_patches`] builds no im2col matrix: the stacked
+//! product quantizes each patch as it packs it from the `f32` image
+//! ([`Int8Core::apply_patches`]) and stores it into the output planes,
+//! and one pass then finishes each `y` plane — the bits of the im2col
+//! route.
 //!
-//! Like the `qn-nn` quantized layers, forwards compute off-tape and
-//! re-enter the graph as leaves: no gradients flow.
+//! Like the `qn-nn` quantized layers, forwards compute off-tape into the
+//! arena ([`Exec::detached`]) and re-enter the graph as leaves: no
+//! gradients flow.
 
 use qn_autograd::{Exec, Var};
 use qn_nn::{Costs, Int8Core, Module, ParamVisitor};
-use qn_tensor::{QTensor, Tensor, GEMM_I8_MAX_K};
+use qn_tensor::{Conv2dSpec, QTensor, Tensor, GEMM_I8_MAX_K};
+use std::cell::Cell;
 
 /// Inference-only int8 form of the paper's efficient quadratic neuron
 /// layer. Build via [`Module::quantized`] on
@@ -99,55 +106,99 @@ impl QuantizedQuadratic {
         self.core.weight().weight_bytes()
     }
 
-    /// `[lead, n] -> [lead, out]` forward on raw data, off-tape.
-    fn apply(&self, xd: &[f32], lead: usize) -> Vec<f32> {
+    /// The per-neuron tail `yⱼ ← (yⱼ + bⱼ) + λⱼ₀·fⱼ₀·fⱼ₀ + …`, added in
+    /// index order, over `out`'s neuron groups: `k + 1` runs of `lanes`
+    /// values each (`y`, then each `fᵢ`), neuron-major — a dense row's
+    /// group for `lanes = 1`, a conv image's planes for `lanes = OH·OW`.
+    /// Chunks of positions keep the loops vectorizable without mixing
+    /// lanes.
+    fn finish(&self, out: &mut [f32], lanes: usize) {
+        const CHUNK: usize = 8;
         let (m, k) = (self.m, self.k);
-        let width = m * (k + 1);
-        let mut out = self.core.apply(xd, lead);
         let (lam, bias) = (self.lambda.data(), self.b.data());
-        for row in out.chunks_mut(width) {
-            for (j, group) in row.chunks_mut(k + 1).enumerate() {
-                let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
-                let mut acc = *y + bias[j];
-                for (&fi, &li) in f.iter().zip(&lam[j * k..(j + 1) * k]) {
-                    acc += li * fi * fi;
+        for (g, group) in out.chunks_exact_mut((k + 1) * lanes).enumerate() {
+            let j = g % m;
+            let (y, f) = group.split_at_mut(lanes);
+            for (p0, yc) in (0..lanes).step_by(CHUNK).zip(y.chunks_mut(CHUNK)) {
+                let mut acc = [0.0f32; CHUNK];
+                for (a, &yv) in acc.iter_mut().zip(yc.iter()) {
+                    *a = yv + bias[j];
                 }
-                *y = acc;
+                for (fi, &li) in f.chunks_exact(lanes).zip(&lam[j * k..(j + 1) * k]) {
+                    for (a, &fv) in acc.iter_mut().zip(&fi[p0..p0 + yc.len()]) {
+                        *a += li * fv * fv;
+                    }
+                }
+                yc.copy_from_slice(&acc[..yc.len()]);
             }
         }
-        if !self.vectorized {
-            // compact the y columns in place: row r's y lands before any
-            // entry a later step still reads
-            for r in 0..lead {
-                for j in 0..m {
-                    out[r * m + j] = out[r * width + j * (k + 1)];
-                }
-            }
-            out.truncate(lead * m);
+    }
+
+    /// Runs the stacked product through `product` into `out`, then the
+    /// tail: in place when vectorized; the scalar-output form multiplies
+    /// into scratch and keeps each group's `y` run.
+    fn run(&self, out: &mut [f32], lanes: usize, product: impl Fn(&mut [f32])) {
+        if self.vectorized {
+            product(out);
+            return self.finish(out, lanes);
         }
-        out
+        // the wide output dies here, so each thread keeps one buffer; it
+        // is moved out for the call, so a nested call cannot find it
+        // borrowed
+        thread_local! {
+            static WIDE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+        }
+        let mut wide = WIDE.take();
+        wide.resize(out.len() * (self.k + 1), 0.0);
+        product(&mut wide);
+        self.finish(&mut wide, lanes);
+        let groups = wide.chunks_exact((self.k + 1) * lanes);
+        for (o, group) in out.chunks_exact_mut(lanes).zip(groups) {
+            o.copy_from_slice(&group[..lanes]);
+        }
+        WIDE.set(wide);
     }
 }
 
 impl Module for QuantizedQuadratic {
     fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var {
-        let dims = cx.value(x).shape().dims().to_vec();
-        let nd = dims.len();
-        assert!(
-            nd >= 1 && dims[nd - 1] == self.n,
+        // dims on the stack, so the serving path allocates nothing
+        let mut dims = [0usize; 8];
+        let nd = {
+            let d = cx.value(x).shape().dims();
+            assert!(
+                !d.is_empty() && d.len() <= dims.len(),
+                "QuantizedQuadratic supports rank 1 to 8, got {d:?}"
+            );
+            dims[..d.len()].copy_from_slice(d);
+            d.len()
+        };
+        assert_eq!(
+            dims[nd - 1],
+            self.n,
             "QuantizedQuadratic: input trailing dim {:?} != {}",
-            dims,
+            &dims[..nd],
             self.n
         );
         let lead: usize = dims[..nd - 1].iter().product();
-        let mut out_dims = dims;
-        out_dims[nd - 1] = self.out_features();
-        let y = {
-            let xt = cx.value(x);
-            let data = self.apply(xt.data(), lead);
-            Tensor::from_vec(data, &out_dims).expect("quantized output shape is consistent")
-        };
-        cx.leaf(y)
+        dims[nd - 1] = self.out_features();
+        cx.detached(x, &dims[..nd], &|xt, y| {
+            self.run(y, 1, |c| self.core.apply(xt.data(), lead, c))
+        })
+    }
+
+    fn forward_patches(&self, cx: &mut dyn Exec, x: Var, spec: Conv2dSpec) -> Var {
+        let (b, c, h, w) = cx.value(x).dims4();
+        assert_eq!(
+            spec.patch_len(c),
+            self.n,
+            "QuantizedQuadratic: {c}-channel patches are not {} inputs",
+            self.n
+        );
+        let (oh, ow) = spec.output_hw(h, w);
+        cx.detached(x, &[b, self.out_features(), oh, ow], &|xt, y| {
+            self.run(y, oh * ow, |c| self.core.apply_patches(xt, spec, c))
+        })
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
@@ -172,7 +223,7 @@ mod tests {
     use super::super::{EfficientQuadraticConv2d, EfficientQuadraticLinear};
     use super::*;
     use qn_autograd::EagerExec;
-    use qn_tensor::{Conv2dSpec, Rng};
+    use qn_tensor::Rng;
 
     fn drift(a: &Tensor, b: &Tensor) -> f32 {
         let mut worst = 0.0f32;

@@ -4,11 +4,18 @@
 //! [`Module::quantized`] produces for `Linear` and `Conv2d`, both built on
 //! one [`Int8Core`]. Weights are snapshotted into per-output-channel
 //! symmetric int8 ([`qn_tensor::QTensor`]); activations are quantized per
-//! **row** on the fly and the product runs through [`qn_tensor::gemm_i8`],
-//! the packed `f32` GEMM loop on the widened codes, whose sums are the
-//! exact integer sums — bit-identical at every SIMD dispatch level and
-//! thread count. That holds up to [`GEMM_I8_MAX_K`] inputs; a wider layer
-//! has no quantized form (`quantized()` is `None`).
+//! **row** on the fly, and the product runs on the packed `f32` GEMM loop
+//! over the widened codes, whose sums are the exact integer sums —
+//! bit-identical at every SIMD dispatch level and thread count. That holds
+//! up to [`GEMM_I8_MAX_K`] inputs; a wider layer has no quantized form
+//! (`quantized()` is `None`).
+//!
+//! A dense product quantizes its input rows, then runs
+//! [`qn_tensor::gemm_i8`]. A convolution builds no im2col matrix:
+//! [`qn_tensor::gemm_i8_patches`] quantizes each patch row by its own
+//! scale as the GEMM packs it from the `f32` image, with the codes and
+//! output bits of the im2col route. Either way the output is written into
+//! the execution context's arena through [`Exec::detached`].
 //!
 //! # Activation scales: dynamic vs. frozen
 //!
@@ -16,10 +23,10 @@
 //! `[observed_absmax, frozen_scale]`:
 //!
 //! - **Dynamic** (`frozen_scale == 0`, the initial state): each forward
-//!   pass quantizes every activation row with that row's own absmax —
-//!   always well-scaled, at the cost of one extra pass over the input.
-//!   While dynamic, the layer also folds the batch absmax into
-//!   `observed_absmax`, so ordinary forwards double as calibration.
+//!   pass quantizes every activation row (a conv's: every patch) with that
+//!   row's own absmax — always well-scaled, at the cost of one extra pass
+//!   over the input. While dynamic, the layer also folds the batch absmax
+//!   into `observed_absmax`, so ordinary forwards double as calibration.
 //! - **Frozen** (`frozen_scale > 0`, after [`calibrate`]): all rows share
 //!   the calibrated scale and values beyond the observed range saturate at
 //!   ±127. This is the deployment configuration — it removes the data
@@ -32,17 +39,18 @@
 //! # No gradients
 //!
 //! Quantized forwards read the input value, compute in int8 off-tape, and
-//! re-enter the graph as a **leaf**: gradients do not flow through a
-//! quantized layer. These modules are for inference; keep the f32 original
-//! for training.
+//! re-enter the graph as a **leaf** ([`Exec::detached`]): gradients do not
+//! flow through a quantized layer. These modules are for inference; keep
+//! the f32 original for training.
 
 use crate::layers::Linear;
 use crate::module::{Costs, Module, ParamVisitor};
 use qn_autograd::{EagerExec, Exec, Var};
 use qn_tensor::{
-    gemm_i8, Checkpoint, CheckpointWriter, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor,
-    TensorError, GEMM_I8_MAX_K,
+    gemm_i8, gemm_i8_patches, ActScale, Checkpoint, CheckpointWriter, Conv2dSpec, MatMut, MatRefI8,
+    QTensor, Tensor, TensorError, GEMM_I8_MAX_K,
 };
+use std::cell::Cell;
 use std::sync::RwLock;
 
 /// Local name every quantized layer reports its activation statistics
@@ -54,6 +62,26 @@ fn new_act_stats() -> RwLock<Tensor> {
     RwLock::new(Tensor::zeros(&[2]))
 }
 
+/// The scale mode `stats` selects: its frozen scale once calibrated, else
+/// each row's own.
+fn act_scale(stats: &RwLock<Tensor>) -> ActScale {
+    match stats.read().expect("act_stats lock poisoned").data()[1] {
+        frozen if frozen > 0.0 => ActScale::Frozen(frozen),
+        _ => ActScale::PerRow,
+    }
+}
+
+/// Folds a dynamic forward's largest row absmax into `stats[0]`; a zero
+/// or non-finite batch absmax is not observed.
+fn observe(stats: &RwLock<Tensor>, batch_absmax: f32) {
+    if batch_absmax > 0.0 && batch_absmax.is_finite() {
+        let mut g = stats.write().expect("act_stats lock poisoned");
+        if batch_absmax > g.data()[0] {
+            g.data_mut()[0] = batch_absmax;
+        }
+    }
+}
+
 /// Quantizes a `[rows, cols]` activation block against `stats` into
 /// `codes` and the per-row `scales` ([`gemm_i8`]'s `sa` operand), both
 /// cleared and resized.
@@ -61,8 +89,8 @@ fn new_act_stats() -> RwLock<Tensor> {
 /// With a frozen scale, every row uses it (out-of-range values saturate).
 /// Otherwise each row is quantized with its own absmax and the batch
 /// absmax is folded into `stats[0]` — see the module docs. A zero (or
-/// non-finite-free all-zero) row gets scale `0.0` and all-zero codes,
-/// which [`gemm_i8`] turns into exact zero outputs.
+/// non-finite) row gets scale `0.0` and all-zero codes, which [`gemm_i8`]
+/// turns into exact zero outputs.
 ///
 /// # Panics
 ///
@@ -109,12 +137,7 @@ fn quantize_acts(
                 batch_absmax = absmax;
             }
         }
-        if batch_absmax > 0.0 && batch_absmax.is_finite() {
-            let mut g = stats.write().expect("act_stats lock poisoned");
-            if batch_absmax > g.data()[0] {
-                g.data_mut()[0] = batch_absmax;
-            }
-        }
+        observe(stats, batch_absmax);
     }
 }
 
@@ -169,42 +192,72 @@ impl Int8Core {
         v.state(ACT_STATS_NAME, &self.act_stats);
     }
 
-    /// `[rows, in] × [in, out] + bias`, all in int8 with an f32 epilogue.
+    /// `[rows, in] × [in, out] + bias` into `y` (`[rows, out]`, fully
+    /// overwritten), all in int8 with an f32 epilogue.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != rows · in`.
-    pub fn apply(&self, x: &[f32], rows: usize) -> Vec<f32> {
+    /// Panics if `x.len() != rows · in` or `y.len() != rows · out`.
+    pub fn apply(&self, x: &[f32], rows: usize, y: &mut [f32]) {
         let (k, out) = (self.weight.cols(), self.weight.rows());
         // activation codes die as soon as the GEMM consumes them, so each
-        // thread reuses one scratch pair across layers and forwards
-        // instead of reallocating per call
+        // thread keeps one scratch pair across layers and forwards; it is
+        // moved out for the call, so a nested call cannot find it borrowed
         thread_local! {
-            static ACT_SCRATCH: std::cell::RefCell<(Vec<i8>, Vec<f32>)> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+            static ACT_SCRATCH: Cell<(Vec<i8>, Vec<f32>)> =
+                const { Cell::new((Vec::new(), Vec::new())) };
         }
-        ACT_SCRATCH.with(|scratch| {
-            let (codes, sa) = &mut *scratch.borrow_mut();
-            quantize_acts(&self.act_stats, x, rows, k, codes, sa);
-            let mut y = vec![0.0f32; rows * out];
-            gemm_i8(
-                MatMut::new(&mut y, rows, out),
-                MatRefI8::new(codes, rows, k),
-                // `[out, in]` row-major transposed is `[in, out]`
-                self.weight.mat().transpose(),
-                sa,
-                self.weight.scales(),
-            );
-            if let Some(b) = &self.bias {
-                let bd = b.data();
-                for row in y.chunks_exact_mut(out) {
-                    for (o, &bv) in row.iter_mut().zip(bd) {
-                        *o += bv;
-                    }
+        let (mut codes, mut sa) = ACT_SCRATCH.take();
+        quantize_acts(&self.act_stats, x, rows, k, &mut codes, &mut sa);
+        gemm_i8(
+            MatMut::new(y, rows, out),
+            MatRefI8::new(&codes, rows, k),
+            // `[out, in]` row-major transposed is `[in, out]`
+            self.weight.mat().transpose(),
+            &sa,
+            self.weight.scales(),
+        );
+        ACT_SCRATCH.set((codes, sa));
+        self.add_bias(y, 1);
+    }
+
+    /// The convolution form of [`apply`](Int8Core::apply): every `spec`
+    /// patch of the `[B, C, H, W]` input `x` times the `[out, C·K·K]`
+    /// weights, plus bias, into `y` (`[B, out, OH, OW]`, fully
+    /// overwritten). Each patch is quantized as the GEMM packs it from the
+    /// image ([`gemm_i8_patches`]), so no im2col matrix is built, and the
+    /// codes, the observed range and the output bits are those of
+    /// [`apply`](Int8Core::apply) on the im2col rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 4-D, its patch length is not `in`, or
+    /// `y.len() != B · out · OH · OW`.
+    pub fn apply_patches(&self, x: &Tensor, spec: Conv2dSpec, y: &mut [f32]) {
+        let (_, _, h, w) = x.dims4();
+        let (oh, ow) = spec.output_hw(h, w);
+        let seen = gemm_i8_patches(
+            y,
+            x,
+            spec,
+            self.weight.mat().transpose(),
+            self.weight.scales(),
+            act_scale(&self.act_stats),
+        );
+        observe(&self.act_stats, seen);
+        self.add_bias(y, oh * ow);
+    }
+
+    /// Adds the bias to every output channel's run of `lanes` values,
+    /// channel-major (`lanes = 1` for rows, `OH·OW` for planes).
+    fn add_bias(&self, y: &mut [f32], lanes: usize) {
+        if let Some(b) = &self.bias {
+            for (run, &bv) in y.chunks_exact_mut(lanes).zip(b.data().iter().cycle()) {
+                for o in run {
+                    *o += bv;
                 }
             }
-            y
-        })
+        }
     }
 }
 
@@ -278,23 +331,27 @@ impl QuantizedLinear {
 
 impl Module for QuantizedLinear {
     fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var {
-        let dims = cx.value(x).shape().dims().to_vec();
-        let nd = dims.len();
-        assert!(
-            nd >= 1 && dims[nd - 1] == self.in_features,
+        // dims on the stack, so the serving path allocates nothing
+        let mut dims = [0usize; 8];
+        let nd = {
+            let d = cx.value(x).shape().dims();
+            assert!(
+                !d.is_empty() && d.len() <= dims.len(),
+                "QuantizedLinear supports rank 1 to 8, got {d:?}"
+            );
+            dims[..d.len()].copy_from_slice(d);
+            d.len()
+        };
+        assert_eq!(
+            dims[nd - 1],
+            self.in_features,
             "QuantizedLinear: input trailing dim {:?} != {}",
-            dims,
+            &dims[..nd],
             self.in_features
         );
         let lead: usize = dims[..nd - 1].iter().product();
-        let mut out_dims = dims;
-        out_dims[nd - 1] = self.out_features;
-        let y = {
-            let xt = cx.value(x);
-            let data = self.core.apply(xt.data(), lead);
-            Tensor::from_vec(data, &out_dims).expect("quantized output shape is consistent")
-        };
-        cx.leaf(y)
+        dims[nd - 1] = self.out_features;
+        cx.detached(x, &dims[..nd], &|xt, y| self.core.apply(xt.data(), lead, y))
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
@@ -326,8 +383,12 @@ impl Module for QuantizedLinear {
     }
 }
 
-/// Int8 twin of `Conv2d`: the im2col patch product runs through
-/// [`gemm_i8`] against `[out_channels, in_channels·k²]` int8 weights.
+/// Int8 twin of `Conv2d`: the patch product runs against
+/// `[out_channels, in_channels·k²]` int8 weights through
+/// [`gemm_i8_patches`], which quantizes each patch as it packs it from the
+/// `f32` image — per patch while dynamic, at the frozen scale once
+/// calibrated — so no im2col matrix is built (see
+/// [`Int8Core::apply_patches`]).
 pub struct QuantizedConv2d {
     core: Int8Core,
     spec: Conv2dSpec,
@@ -384,16 +445,9 @@ impl Module for QuantizedConv2d {
             self.in_channels
         );
         let (oh, ow) = self.spec.output_hw(h, w);
-        let patches = cx.im2col(x, self.spec);
-        let y = {
-            let p = cx.value(patches);
-            let (rows, _) = p.dims2();
-            let data = self.core.apply(p.data(), rows);
-            Tensor::from_vec(data, &[rows, self.out_channels])
-                .expect("quantized conv output shape is consistent")
-        };
-        let yv = cx.leaf(y);
-        cx.rows_to_nchw(yv, b, oh, ow, self.out_channels)
+        cx.detached(x, &[b, self.out_channels, oh, ow], &|xt, y| {
+            self.core.apply_patches(xt, self.spec, y)
+        })
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {

@@ -2,18 +2,20 @@
 //! of [`kernels`](crate::add_to).
 //!
 //! [`quantize_to_i8`] is the `f32 → i8` rounding pass of the quantized
-//! inference tier, used for both weight quantization and per-row
-//! activation quantization. The int8 products themselves need no kernel
-//! here: `qn-tensor`'s `gemm_i8` widens the codes to `f32` and runs the
-//! `f32` GEMM band loop, whose sums of int8 products are exact.
+//! inference tier, used for weight quantization and per-row activation
+//! quantization; [`quantize_lane`] is its one-element form, which
+//! `qn-tensor`'s int8 patch packer applies tile row by tile row. The int8
+//! products themselves need no kernel here: `qn-tensor`'s `gemm_i8` widens
+//! the codes to `f32` and runs the `f32` GEMM band loop, whose sums of int8
+//! products are exact.
 //!
 //! ## Determinism
 //!
 //! [`quantize_to_i8`] performs the identical IEEE-754 operation sequence
-//! per lane (`(x·inv + C) − C` magic-number rounding, then clamp), so its
-//! lanes are bit-exact across levels for finite inputs —
-//! `tests/int8_equivalence.rs` enforces it at every reachable dispatch
-//! level.
+//! per lane (`(x·inv + C) − C` magic-number rounding, then clamp, then NaN
+//! to `0`), so every level returns [`quantize_lane`]'s code for every
+//! input, NaN and ±∞ included — `tests/int8_equivalence.rs` enforces it
+//! at every reachable dispatch level.
 
 use crate::SimdLevel;
 
@@ -23,26 +25,34 @@ use crate::SimdLevel;
 /// `[2²³, 2²⁴)` where the `f32` grid spacing is exactly 1.
 const ROUND_MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
 
-mod g {
-    //! Generic (scalar-shaped) kernel bodies. The scalar wrappers call
-    //! these directly; the vector wrappers re-implement the same
-    //! operation sequence with intrinsics.
-
-    use super::ROUND_MAGIC;
-
-    /// One lane of the quantization pass — the exact operation sequence
-    /// every ISA reproduces: scale, magic-number round (ties to even),
-    /// clamp to the symmetric int8 range `[-127, 127]`.
-    #[inline(always)]
-    pub fn quantize_lane(x: f32, inv_scale: f32) -> i8 {
-        let r = (x * inv_scale + ROUND_MAGIC) - ROUND_MAGIC;
-        r.clamp(-127.0, 127.0) as i8
+/// One lane of [`quantize_to_i8`] as an `f32`, the code exactly — the
+/// operation sequence every level reproduces: scale, magic-number round
+/// (ties to even), clamp to the symmetric int8 range `[-127, 127]`. A NaN
+/// (from `x` or from `x · inv_scale`, as in `∞ · 0`) gives `0`; `±∞`
+/// saturates to `±127`. A zero code is `+0.0`: `(v + C) − C` is never
+/// `−0.0`.
+#[inline(always)]
+pub fn quantize_lane(x: f32, inv_scale: f32) -> f32 {
+    let r = ((x * inv_scale + ROUND_MAGIC) - ROUND_MAGIC).clamp(-127.0, 127.0);
+    // NaN passes the clamp
+    if r.is_nan() {
+        0.0
+    } else {
+        r
     }
+}
+
+mod g {
+    //! Generic (scalar-shaped) kernel body. The scalar wrapper calls it
+    //! directly; the vector wrappers re-implement the same operation
+    //! sequence with intrinsics.
+
+    use super::quantize_lane;
 
     #[inline(always)]
     pub fn quantize_to_i8(dst: &mut [i8], src: &[f32], inv_scale: f32) {
         for (d, &x) in dst.iter_mut().zip(src) {
-            *d = quantize_lane(x, inv_scale);
+            *d = quantize_lane(x, inv_scale) as i8;
         }
     }
 }
@@ -55,11 +65,13 @@ mod x86 {
     //! ISAs — so each level is written out against the exactness contract
     //! in the module docs.
 
-    use super::ROUND_MAGIC;
+    use super::{quantize_lane, ROUND_MAGIC};
     use std::arch::x86_64::*;
 
     /// SSE2 quantization: same `(x·inv + C) − C` / clamp sequence as the
-    /// scalar lane, 4 lanes at a time, narrowed through `i32`.
+    /// scalar lane, 4 lanes at a time, narrowed through `i32`. `maxps`
+    /// turns a NaN lane into `-127`, so the ordered mask zeroes it, as the
+    /// scalar lane does.
     ///
     /// # Safety
     ///
@@ -76,6 +88,7 @@ mod x86 {
             let x = _mm_loadu_ps(src.as_ptr().add(i));
             let r = _mm_sub_ps(_mm_add_ps(_mm_mul_ps(x, inv), magic), magic);
             let c = _mm_min_ps(_mm_max_ps(r, lo), hi);
+            let c = _mm_and_ps(c, _mm_cmpord_ps(r, r));
             // `c` is integral in [-127, 127]; truncation == value.
             let q = _mm_cvttps_epi32(c);
             let mut lanes = [0i32; 4];
@@ -86,13 +99,14 @@ mod x86 {
             i += 4;
         }
         while i < n {
-            *dst.get_unchecked_mut(i) = super::g::quantize_lane(*src.get_unchecked(i), inv_scale);
+            *dst.get_unchecked_mut(i) = quantize_lane(*src.get_unchecked(i), inv_scale) as i8;
             i += 1;
         }
     }
 
     /// AVX2 quantization: 8 lanes at a time, narrowed through `i32` with
-    /// in-lane packs + a permute to restore order.
+    /// in-lane packs + a permute to restore order; NaN lanes are zeroed
+    /// like the SSE2 body's.
     ///
     /// # Safety
     ///
@@ -109,6 +123,7 @@ mod x86 {
             let x = _mm256_loadu_ps(src.as_ptr().add(i));
             let r = _mm256_sub_ps(_mm256_add_ps(_mm256_mul_ps(x, inv), magic), magic);
             let c = _mm256_min_ps(_mm256_max_ps(r, lo), hi);
+            let c = _mm256_and_ps(c, _mm256_cmp_ps::<_CMP_ORD_Q>(r, r));
             let q = _mm256_cvttps_epi32(c);
             // i32 → i16 → i8 saturating packs operate within 128-bit lanes;
             // values are already in [-127, 127] so saturation never bites,
@@ -132,7 +147,7 @@ mod x86 {
             i += 8;
         }
         while i < n {
-            *dst.get_unchecked_mut(i) = super::g::quantize_lane(*src.get_unchecked(i), inv_scale);
+            *dst.get_unchecked_mut(i) = quantize_lane(*src.get_unchecked(i), inv_scale) as i8;
             i += 1;
         }
     }
@@ -142,10 +157,9 @@ mod x86 {
 /// with round-to-nearest-even and the symmetric int8 range `[-127, 127]`
 /// (`-128` is never produced, so negation stays in range).
 ///
-/// Bit-identical across dispatch levels for finite inputs (every level runs
-/// the same IEEE operation sequence per lane). Non-finite `src` values
-/// produce unspecified (but in-range) codes — quantization scales come from
-/// absmax passes, which surface NaN/∞ upstream.
+/// Every element gets [`quantize_lane`]'s code at every dispatch level
+/// and slice position (every level runs the same IEEE operation sequence
+/// per lane): NaN gives `0` and `±∞` saturates to `±127`.
 ///
 /// # Panics
 ///

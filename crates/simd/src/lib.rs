@@ -8,9 +8,10 @@
 //! [`arch::SimdF32`]; everything else calls the safe kernels here.
 //!
 //! The int8 tier needs one kernel of its own, the `f32 → i8` rounding pass
-//! [`quantize_to_i8`]. Its products need none: `qn-tensor`'s `gemm_i8`
-//! widens the codes to `f32` and runs the same GEMM micro-kernel, whose
-//! sums of int8 products are exact.
+//! [`quantize_to_i8`], whose one-element form [`quantize_lane`] the int8
+//! patch packer applies as it reads each tile row. Its products need
+//! none: `qn-tensor`'s `gemm_i8` widens the codes to `f32` and runs the
+//! same GEMM micro-kernel, whose sums of int8 products are exact.
 //!
 //! ## Dispatch: [`SimdLevel`]
 //!
@@ -54,7 +55,7 @@ pub mod arch;
 mod int8;
 mod kernels;
 
-pub use int8::quantize_to_i8;
+pub use int8::{quantize_lane, quantize_to_i8};
 pub use kernels::{
     adam_update, add_scalar_to, add_to, mul_to, relu_to, scale_to, sgd_update, square_to, sub_to,
 };

@@ -6,7 +6,9 @@
 //! **bit-exact** at every level:
 //!
 //! - `quantize_to_i8` uses the magic-number round (identical IEEE op
-//!   sequence per lane at every level);
+//!   sequence per lane at every level), and gives every element the
+//!   scalar lane's code, NaN (`0`) and ±∞ (`±127`) included, wherever it
+//!   sits in the slice — in a vector body or in the scalar tail;
 //! - `sgd_update`/`adam_update` are element-local with no FMA and
 //!   correctly-rounded `divps`/`sqrtps`, so each lane reproduces the
 //!   seed scalar loop exactly.
@@ -45,6 +47,47 @@ fn quantize_ref(src: &[f32], inv_scale: f32) -> Vec<i8> {
     src.iter()
         .map(|&x| ((x * inv_scale + ROUND_MAGIC) - ROUND_MAGIC).clamp(-127.0, 127.0) as i8)
         .collect()
+}
+
+/// NaN gives code 0 and ±∞ saturates at every level, whether the value
+/// sits in a vector body or in the tail after it.
+#[test]
+fn quantize_to_i8_agrees_on_non_finite_values_at_every_level() {
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    let probe = [nan, inf, -inf, 1.0, 2.0, 3.0, 4.0, 5.0, nan];
+    let ones = [1.0f32; 19];
+    for_each_level(|level| {
+        let mut dst = [9i8; 9];
+        qn_simd::quantize_to_i8(&mut dst, &probe, 1.0);
+        prop_assert_eq!(dst, [0, 127, -127, 1, 2, 3, 4, 5, 0], "probe @ {:?}", level);
+        // each non-finite value at every position of a 19-element slice:
+        // two AVX2 bodies, four SSE2 bodies and a 3-element tail
+        for pos in 0..ones.len() {
+            for (v, inv, code) in [
+                (nan, 1.0, 0),
+                (inf, 1.0, 127),
+                (-inf, 1.0, -127),
+                (inf, 0.0, 0),
+                (2.0, f32::NAN, 0),
+            ] {
+                let mut src = ones;
+                src[pos] = v;
+                let mut dst = [9i8; 19];
+                qn_simd::quantize_to_i8(&mut dst, &src, inv);
+                prop_assert_eq!(
+                    &dst[..],
+                    &quantize_ref(&src, inv)[..],
+                    "{} @ {:?}",
+                    v,
+                    level
+                );
+                prop_assert_eq!(dst[pos], code, "{} x {} at {} @ {:?}", v, inv, pos, level);
+                prop_assert_eq!(dst[pos] as f32, qn_simd::quantize_lane(v, inv));
+            }
+        }
+        Ok(())
+    })
+    .unwrap();
 }
 
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {

@@ -128,8 +128,8 @@ pub use pool::{
     PoolSpec,
 };
 pub use quant::{
-    decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits, gemm_i8, gemm_i8_reference, MatRefI8,
-    QTensor, GEMM_I8_MAX_K,
+    decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits, gemm_i8, gemm_i8_patches,
+    gemm_i8_reference, ActScale, MatRefI8, QTensor, GEMM_I8_MAX_K,
 };
 pub use rng::Rng;
 pub use shape::Shape;

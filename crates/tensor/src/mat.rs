@@ -26,6 +26,9 @@
 //!   sums of int8 products are exact up to
 //!   [`GEMM_I8_MAX_K`](crate::GEMM_I8_MAX_K) (see [`crate::quant`]), then
 //!   scales the integer sums in one pass.
+//!   [`gemm_i8_patches`](crate::gemm_i8_patches) runs the patch product
+//!   on int8 codes: each tile row is quantized by its own scale as it
+//!   packs from the `f32` image, and the transposed store scales the sums.
 //!
 //! # Determinism
 //!
@@ -47,7 +50,7 @@
 //! `+0.0` into `-0.0`, so adding a `±0.0` product never changes a bit,
 //! while `0 × NaN` and `0 × ∞` propagate NaN as IEEE-754 requires.
 
-use crate::{Conv2dSpec, Tensor};
+use crate::{ActScale, Conv2dSpec, Tensor};
 #[cfg(target_arch = "x86_64")]
 use qn_simd::arch::{Avx2F32, Sse2F32};
 use qn_simd::arch::{ScalarF32, SimdF32};
@@ -571,20 +574,23 @@ impl StoreC for RowBand<'_> {
 /// Band rows from `first` of a transposed `C`: `(i, j)` lands at `j·m + i`
 /// of `slab`, the `m`-position output planes. Concurrent bands own disjoint
 /// rows, whose elements interleave, so they share `slab` as a raw pointer.
+/// An int8 product's `scales` (`sa` over the image's `m` rows, `sb` over
+/// the columns) turn each integer sum into `(acc·sa[i])·sb[j]` on the way.
 #[derive(Clone, Copy)]
-struct ColBand {
+struct ColBand<'a> {
     slab: *mut [f32],
     m: usize,
     first: usize,
+    scales: Option<(&'a [f32], &'a [f32])>,
 }
 
-// SAFETY: `m` and `first` are plain integers; through `slab`, the bands of
-// one product write disjoint rows of a buffer that `gemm_patches` borrows
-// mutably until every band has joined.
-unsafe impl Send for ColBand {}
-unsafe impl Sync for ColBand {}
+// SAFETY: `m` and `first` are plain integers and `scales` shared reads;
+// through `slab`, the bands of one product write disjoint rows of a buffer
+// that `patch_product` borrows mutably until every band has joined.
+unsafe impl Send for ColBand<'_> {}
+unsafe impl Sync for ColBand<'_> {}
 
-impl StoreC for ColBand {
+impl StoreC for ColBand<'_> {
     #[inline(always)]
     unsafe fn store<S: SimdF32>(&mut self, acc: &Acc<S>, i: usize, mr: usize, j: usize, nr: usize) {
         let mut tile = [0.0f32; MR * NR];
@@ -593,6 +599,14 @@ impl StoreC for ColBand {
             row_stride: NR,
         }
         .store(acc, 0, MR, 0, NR);
+        if let Some((sa, sb)) = self.scales {
+            let sa = &sa[self.first + i..self.first + i + mr];
+            for (row, &si) in tile.chunks_exact_mut(NR).zip(sa) {
+                for (v, &sj) in row.iter_mut().zip(&sb[j..j + nr]) {
+                    *v = *v * si * sj;
+                }
+            }
+        }
         for jj in 0..nr {
             let off = (j + jj) * self.m + self.first + i;
             assert!(off + mr <= self.slab.len(), "store out of bounds");
@@ -800,22 +814,44 @@ pub fn gemm_batched<'a, FA, FB>(
     }
 }
 
-/// The `[OH·OW, C·K·K]` patch matrix of image `i` of `x`, read from its
-/// planes: the rows that [`im2col`](crate::im2col) writes, `+0.0` at pads.
+/// The `[OH·OW, C·K·K]` patch matrix of one image, read from its `(C, H,
+/// W)` planes `img`: the rows that [`im2col`](crate::im2col) writes, `+0.0`
+/// at pads. With `inv`, the inverse scales of the image's rows, each tile
+/// row packs as the int8 codes `quantize_to_i8` gives that im2col row,
+/// widened to `f32`.
 #[derive(Clone, Copy)]
 struct Patches<'a> {
-    x: &'a Tensor,
-    i: usize,
+    img: &'a [f32],
+    chw: (usize, usize, usize),
     ow: usize,
     spec: Conv2dSpec,
+    inv: Option<&'a [f32]>,
 }
 
 impl PackA for Patches<'_> {
     #[inline(always)]
     fn pack(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
-        let ((_, c, h, w), kernel, stride) = (self.x.dims4(), self.spec.kernel, self.spec.stride);
-        let img = &self.x.data()[self.i * c * h * w..];
-        let pad = self.spec.padding as isize;
+        self.fill(atile, first, mr, k);
+        if let Some(inv) = self.inv {
+            // padding rows past `mr` hold +0.0, whose code is 0 at any scale
+            let mut s = [0.0f32; MR];
+            s[..mr].copy_from_slice(&inv[first..first + mr]);
+            for tap in atile[..k * MR].chunks_exact_mut(MR) {
+                for (v, &s) in tap.iter_mut().zip(&s) {
+                    *v = qn_simd::quantize_lane(*v, s);
+                }
+            }
+        }
+    }
+}
+
+impl Patches<'_> {
+    /// The `f32` tile: `atile[p·MR + ii]` is element `p` of patch row
+    /// `first + ii`, `+0.0` for `ii >= mr`.
+    #[inline(always)]
+    fn fill(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
+        let ((c, h, w), kernel, stride) = (self.chw, self.spec.kernel, self.spec.stride);
+        let (img, pad) = (self.img, self.spec.padding as isize);
         // receptive-field origin of each tile row
         let (mut iy0, mut ix0) = ([0isize; MR], [0isize; MR]);
         for ii in 0..mr {
@@ -883,24 +919,94 @@ fn inner_taps<const K: usize>(atile: &mut [f32], img: &[f32], (h, w): (usize, us
 /// Panics if `x` is not 4-D, `b` does not have `C·K·K` rows or `out`
 /// does not hold `B·N·OH·OW` floats.
 pub fn gemm_patches(out: &mut [f32], x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>) {
+    patch_product("gemm_patches", out, x, spec, b, None);
+}
+
+/// The band loop of [`gemm_patches`] and, given `int8 = (sb, act)`, of
+/// [`gemm_i8_patches`](crate::gemm_i8_patches): patch row `r` is quantized
+/// at its `act` scale `sa[r]` and each sum stored as `(acc·sa[r])·sb[j]`.
+/// Returns the largest patch-row absmax under [`ActScale::PerRow`], else
+/// `0.0`. `what` names the caller in panics.
+pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
+    what: &str,
+    out: &mut [f32],
+    x: &Tensor,
+    spec: Conv2dSpec,
+    b: MatRef<'_, T>,
+    int8: Option<(&[f32], ActScale)>,
+) -> f32 {
     let (batches, c, h, w) = x.dims4();
     let (oh, ow) = spec.output_hw(h, w);
-    let (m, k, n) = (oh * ow, spec.patch_len(c), b.cols);
-    assert_eq!(b.rows, k, "gemm_patches: b must have {k} rows");
+    let (m, k, n, rows) = (oh * ow, spec.patch_len(c), b.cols, batches * oh * ow);
+    assert_eq!(b.rows, k, "{what}: b must have {k} rows");
     assert_eq!(
         out.len(),
         batches * n * m,
-        "gemm_patches: out must be {batches}x{n}x{m}"
+        "{what}: out must be {batches}x{n}x{m}"
     );
     if out.is_empty() {
-        return;
+        return 0.0;
     }
+    // an int8 product's row scales `sa` and, per row, inverse scales `inv`,
+    // as `quantize_acts` in `qn-nn` derives them for the im2col rows; with
+    // one frozen scale, `codes` holds each image quantized instead
+    let (mut scales, mut codes, mut seen) = (Vec::new(), Vec::new(), 0.0f32);
+    match int8 {
+        None => {}
+        Some((_, ActScale::Frozen(s))) => {
+            scales = scratch::take_f32(rows);
+            scales.fill(s);
+            codes = scratch::take_f32(c * h * w);
+        }
+        Some((_, ActScale::PerRow)) => {
+            scales = scratch::take_f32(2 * rows);
+            let (sa, inv) = scales.split_at_mut(rows);
+            patch_absmax(sa, x, spec);
+            for (a, v) in sa.iter_mut().zip(inv) {
+                if *a > seen {
+                    seen = *a;
+                }
+                (*a, *v) = if *a > 0.0 && a.is_finite() {
+                    (*a / 127.0, 127.0 / *a)
+                } else {
+                    (0.0, 0.0)
+                };
+            }
+        }
+    }
+    let (sa, inv) = scales.split_at(rows.min(scales.len()));
     let (level, packed, blocks) = (SimdLevel::active(), pack_b(b), m.div_ceil(MR));
     let (big, threads) = (m * n * k >= PAR_MIN_MACS, qn_parallel::num_threads());
     let rows_per_band = blocks.div_ceil(if big { threads.min(blocks) } else { 1 }) * MR;
+    let chw = c * h * w;
     for (i, slab) in out.chunks_mut(n * m).enumerate() {
-        let (a, packed) = (Patches { x, i, ow, spec }, &packed);
-        let dst = ColBand { slab, m, first: 0 };
+        let mut img = &x.data()[i * chw..(i + 1) * chw];
+        if let Some((_, ActScale::Frozen(s))) = int8 {
+            // every row shares the scale, so each pixel is quantized once:
+            // its code is the same in every patch row that holds it
+            let inv = 1.0 / s;
+            for (q, &v) in codes.iter_mut().zip(img) {
+                *q = qn_simd::quantize_lane(v, inv);
+            }
+            img = &codes;
+        }
+        let span = i * m..(i + 1) * m;
+        let inv = (!inv.is_empty()).then(|| &inv[span.clone()]);
+        let a = Patches {
+            img,
+            chw: (c, h, w),
+            ow,
+            spec,
+            inv,
+        };
+        let scales = int8.map(|(sb, _)| (&sa[span], sb));
+        let dst = ColBand {
+            slab,
+            m,
+            first: 0,
+            scales,
+        };
+        let packed = &packed;
         let band = move |first: usize| {
             let (mut dst, rows) = (dst, rows_per_band.min(m - first));
             dst.first = first;
@@ -914,6 +1020,42 @@ pub fn gemm_patches(out: &mut [f32], x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>
         }
     }
     scratch::give_f32(packed.data);
+    scratch::give_f32(scales);
+    scratch::give_f32(codes);
+    seen
+}
+
+/// Writes the absmax of every patch row of every image of `x` into `out`
+/// (`B·OH·OW` values): the largest `|v|` from `+0.0`, NaN skipped, as
+/// `quantize_acts` in `qn-nn` scans an im2col row. Read tile by tile
+/// through the packer, so no patch matrix is built.
+fn patch_absmax(out: &mut [f32], x: &Tensor, spec: Conv2dSpec) {
+    let (_, c, h, w) = x.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
+    let k = spec.patch_len(c);
+    let (mut atile, chw) = (scratch::take_f32(k * MR), c * h * w);
+    for (i, rows) in out.chunks_mut(oh * ow).enumerate() {
+        let img = &x.data()[i * chw..(i + 1) * chw];
+        let a = Patches {
+            img,
+            chw: (c, h, w),
+            ow,
+            spec,
+            inv: None,
+        };
+        for (t, maxes) in rows.chunks_mut(MR).enumerate() {
+            a.pack(&mut atile, t * MR, maxes.len(), k);
+            maxes.fill(0.0);
+            for tap in atile[..k * MR].chunks_exact(MR) {
+                for (mx, &v) in maxes.iter_mut().zip(tap) {
+                    if v.abs() > *mx {
+                        *mx = v.abs();
+                    }
+                }
+            }
+        }
+    }
+    scratch::give_f32(atile);
 }
 
 /// The seed naive matmul kernels, retained verbatim (modulo the parallel

@@ -52,7 +52,8 @@ impl PoolSpec {
 
 /// The largest value of window `(oy, ox)` of one `w`-wide `plane`, and its
 /// index in the plane: the first tap holding it, or the window's first tap
-/// when no value exceeds `−∞` (every tap `−∞` or NaN).
+/// when every tap is `−∞`. A NaN propagates: the first NaN tap wins, with
+/// its own bits.
 #[inline(always)]
 fn window_max(plane: &[f32], w: usize, (oy, ox): (usize, usize), spec: PoolSpec) -> (f32, usize) {
     let first = oy * spec.stride * w + ox * spec.stride;
@@ -60,9 +61,11 @@ fn window_max(plane: &[f32], w: usize, (oy, ox): (usize, usize), spec: PoolSpec)
     for ky in 0..spec.window {
         for kx in 0..spec.window {
             let idx = first + ky * w + kx;
-            if plane[idx] > best {
-                best = plane[idx];
-                best_idx = idx;
+            let v = plane[idx];
+            if v > best {
+                (best, best_idx) = (v, idx);
+            } else if v.is_nan() {
+                return (v, idx);
             }
         }
     }
@@ -70,8 +73,9 @@ fn window_max(plane: &[f32], w: usize, (oy, ox): (usize, usize), spec: PoolSpec)
 }
 
 /// Max pooling over `[B, C, H, W]` into a caller-provided buffer of
-/// `B·C·OH·OW` elements (fully overwritten). A window with no value above
-/// `−∞` (every tap `−∞` or NaN) pools to `−∞`.
+/// `B·C·OH·OW` elements (fully overwritten). A window holding a NaN pools
+/// to its first NaN tap, so a diverged activation stays visible; a window
+/// of `−∞` taps pools to `−∞`.
 ///
 /// # Panics
 ///
@@ -98,8 +102,9 @@ pub fn max_pool2d_into(dst: &mut [f32], input: &Tensor, spec: PoolSpec) {
 
 /// Backward pass of max pooling over the `[B, C, H, W]` input `x`: routes
 /// each output gradient of `grad` (`[B, C, OH, OW]`) to its window's winner
-/// — the first tap holding the maximum, or the window's first tap when no
-/// value exceeds `−∞` — accumulating in output order.
+/// — the first NaN tap if the window holds one, else the first tap holding
+/// the maximum, or the window's first tap when every tap is `−∞` —
+/// accumulating in output order.
 ///
 /// # Panics
 ///
@@ -241,7 +246,7 @@ mod tests {
     fn max_pool_backward_keeps_an_all_neg_inf_window_in_its_plane() {
         let ninf = f32::NEG_INFINITY;
         let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, f32::NAN],
+            vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf],
             &[1, 2, 2, 2],
         )
         .unwrap();
@@ -251,6 +256,41 @@ mod tests {
         let g = Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]).unwrap();
         let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 2));
         assert_eq!(back.data(), &[0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_propagates_the_first_nan_tap() {
+        // one 2×2 window per plane: NaN first, NaN after a larger value,
+        // NaN in a window of −∞, two NaNs (the first wins), and no NaN
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let nan2 = f32::from_bits(f32::NAN.to_bits() | 1);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(
+            vec![
+                nan, 1.0, 2.0, 3.0,
+                7.0, 1.0, nan, 2.0,
+                ninf, ninf, ninf, nan,
+                5.0, nan2, 9.0, nan,
+                1.0, 2.0, 9.0, 3.0,
+            ],
+            &[1, 5, 2, 2],
+        )
+        .unwrap();
+        let mut y = [0.0f32; 5];
+        max_pool2d_into(&mut y, &x, PoolSpec::new(2, 2));
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&[nan, nan, nan, nan2, 9.0]));
+        let g = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[1, 5, 1, 1]).unwrap();
+        let back = max_pool2d_backward(&g, &x, PoolSpec::new(2, 2));
+        #[rustfmt::skip]
+        let want = [
+            1.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 2.0, 0.0,
+            0.0, 0.0, 0.0, 3.0,
+            0.0, 4.0, 0.0, 0.0,
+            0.0, 0.0, 5.0, 0.0,
+        ];
+        assert_eq!(back.data(), &want);
     }
 
     #[test]

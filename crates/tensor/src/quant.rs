@@ -1,7 +1,7 @@
 //! The int8/f16 precision tier: quantized weight storage ([`QTensor`]),
-//! the int8 GEMM on the packed `f32` core ([`gemm_i8`]), and software
-//! `f32 ↔ f16` bit conversion (no half-precision hardware or external
-//! crates required).
+//! the int8 GEMM on the packed `f32` core ([`gemm_i8`]) and its conv form
+//! ([`gemm_i8_patches`]), and software `f32 ↔ f16` bit conversion (no
+//! half-precision hardware or external crates required).
 //!
 //! # Quantization scheme
 //!
@@ -30,6 +30,12 @@
 //! [`gemm_i8`] is **bit-identical** to its `i32` specification
 //! [`gemm_i8_reference`] across dispatch levels and thread counts.
 //!
+//! [`gemm_i8_patches`] quantizes as it packs: every code equals the one
+//! `qn_simd::quantize_to_i8` gives the im2col row at the row's scale (the
+//! two share [`qn_simd::quantize_lane`]), so its output is, bit for bit,
+//! [`gemm_i8`] over the codes of the [`im2col`](crate::im2col) rows, read
+//! per image as `[N, OH·OW]` planes.
+//!
 //! # Accumulator range
 //!
 //! Every integer of magnitude at most `2²⁴` is an `f32`, and `2²⁴ + 1` is
@@ -39,8 +45,8 @@
 //! quantized form, so a model that holds one has no int8 twin and serves
 //! in `f32`.
 
-use crate::mat::{gemm_packed, MatMut, MatRef};
-use crate::{Tensor, TensorError};
+use crate::mat::{gemm_packed, patch_product, MatMut, MatRef};
+use crate::{Conv2dSpec, Tensor, TensorError};
 
 /// Largest inner dimension [`gemm_i8`] accepts: up to this every `f32`
 /// partial sum of int8 products is exact (see module docs).
@@ -364,6 +370,65 @@ pub fn gemm_i8(c: MatMut<'_>, a: MatRefI8<'_>, b: MatRefI8<'_>, sa: &[f32], sb: 
             *o = *o * si * sj;
         }
     }
+}
+
+/// How an int8 product quantizes its activation rows: the per-row
+/// symmetric scheme of `qn-nn`'s quantized layers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ActScale {
+    /// Every row shares one calibrated scale `s > 0`: codes
+    /// `round(x · (1/s))`, saturating at ±127, sums scaled by `s`.
+    Frozen(f32),
+    /// Each row by its own absmax `a` (NaN skipped): codes
+    /// `round(x · (127/a))`, sums scaled by `a/127`. A row whose absmax is
+    /// `0` or not finite gets all-zero codes and scale `0`.
+    PerRow,
+}
+
+/// Int8 convolution on a patch operand: `out[i] ← (q(patches(x[i])) · b)ᵀ`
+/// with each sum scaled as `(acc · sa[r]) · sb[j]`, for every image of the
+/// NCHW `f32` input `x`. `b` is `[C·K·K, N]` int8 (the transposed
+/// `[N, C·K·K]` weight view), `sb` its per-column scales, `out`
+/// `[B, N, OH·OW]` (fully overwritten).
+///
+/// The patches are never materialized: every tile packs straight from the
+/// image through [`gemm_patches`](crate::gemm_patches)' band loop,
+/// quantizing each row by its `act` scale (`sa[r]`) on the way — under
+/// one frozen scale, by quantizing each image once — and the transposed
+/// store applies the scales. The output equals [`gemm_i8`]
+/// over the `quantize_to_i8` codes of the [`im2col`](crate::im2col) rows
+/// in every bit, at every SIMD level and thread count.
+///
+/// Returns the largest patch-row absmax under [`ActScale::PerRow`] (`∞`
+/// if a row holds one), else `0.0`: what a dynamic layer folds into its
+/// observed range.
+///
+/// # Panics
+///
+/// Panics if `x` is not 4-D, `b` does not have `C·K·K` rows, `sb` does
+/// not hold `N` scales, `out` does not hold `B·N·OH·OW` floats, or
+/// `C·K·K > GEMM_I8_MAX_K`.
+pub fn gemm_i8_patches(
+    out: &mut [f32],
+    x: &Tensor,
+    spec: Conv2dSpec,
+    b: MatRefI8<'_>,
+    sb: &[f32],
+    act: ActScale,
+) -> f32 {
+    assert_eq!(
+        sb.len(),
+        b.cols(),
+        "gemm_i8_patches: sb has {} scales for {} cols",
+        sb.len(),
+        b.cols()
+    );
+    assert!(
+        b.rows() <= GEMM_I8_MAX_K,
+        "gemm_i8_patches: k = {} exceeds the exactness bound {GEMM_I8_MAX_K}",
+        b.rows()
+    );
+    patch_product("gemm_i8_patches", out, x, spec, b, Some((sb, act)))
 }
 
 /// The executable specification of [`gemm_i8`]: a plain sequential
