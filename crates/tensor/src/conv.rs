@@ -3,9 +3,10 @@ use crate::{tensor::PAR_MIN_ELEMS, Tensor};
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
 ///
 /// Every convolutional layer, linear and quadratic, reads its patches with
-/// one spec: through [`gemm_patches`](crate::gemm_patches) straight from
-/// the image (eager linear and efficient quadratic convs), or
-/// [`im2col`]/[`col2im`].
+/// one spec: through [`gemm_patches`](crate::gemm_patches) from the
+/// image's zero-padded planes (eager linear and efficient quadratic convs,
+/// and through [`gemm_i8_patches`](crate::gemm_i8_patches) their int8
+/// twins), or [`im2col`]/[`col2im`].
 ///
 /// # Example
 ///
@@ -74,10 +75,12 @@ impl Conv2dSpec {
 /// a single matrix multiplication against flattened filters, which is also
 /// exactly the form quadratic neurons need (`x` = one patch row).
 ///
-/// The eager linear and efficient quadratic convs read the same rows
-/// straight from the image ([`gemm_patches`](crate::gemm_patches)); the
-/// tape, the int8 twins, the other Table I families and the benchmark's
-/// traced replays still lower through this matrix.
+/// The eager linear and efficient quadratic convs and their int8 twins
+/// read the same rows from the image's zero-padded planes
+/// ([`gemm_patches`](crate::gemm_patches),
+/// [`gemm_i8_patches`](crate::gemm_i8_patches)); the tape, the other
+/// Table I families and the benchmark's traced replays still lower through
+/// this matrix, and the patch products' test suites compare against it.
 ///
 /// # Panics
 ///

@@ -18,17 +18,22 @@
 //!   loop. Large products are parallelized over disjoint output-row bands
 //!   on the `qn-parallel` pool.
 //! - The band loop is generic over its left operand and destination:
-//!   [`gemm_patches`] packs a conv's tiles straight from the NCHW image
-//!   and stores them transposed into its output planes (the implicit GEMM
-//!   of cuDNN, Chetlur et al., arXiv:1410.0759), with no im2col matrix.
+//!   [`gemm_patches`] copies each NCHW image once into zero-padded planes,
+//!   packs a conv's tiles from them and stores the blocks transposed into
+//!   its output planes (the implicit GEMM of cuDNN, Chetlur et al.,
+//!   arXiv:1410.0759), with no im2col matrix. Every receptive field lies
+//!   inside the padded planes, so a tile packs without a bounds test: a
+//!   full tile within one output row copies `MR`-float windows, and any
+//!   other tile gathers row by row.
 //! - It also serves the int8 tier: [`gemm_i8`](crate::gemm_i8) packs its
 //!   int8 operands widened to `f32` and runs the same loop, whose `f32`
 //!   sums of int8 products are exact up to
 //!   [`GEMM_I8_MAX_K`](crate::GEMM_I8_MAX_K) (see [`crate::quant`]), then
 //!   scales the integer sums in one pass.
 //!   [`gemm_i8_patches`](crate::gemm_i8_patches) runs the patch product
-//!   on int8 codes: each tile row is quantized by its own scale as it
-//!   packs from the `f32` image, and the transposed store scales the sums.
+//!   on int8 codes: under a frozen scale the planes hold each pixel's code,
+//!   while dynamic each tile row is quantized by its own scale as it packs,
+//!   and the transposed store scales the sums.
 //!
 //! # Determinism
 //!
@@ -814,15 +819,18 @@ pub fn gemm_batched<'a, FA, FB>(
     }
 }
 
-/// The `[OH·OW, C·K·K]` patch matrix of one image, read from its `(C, H,
-/// W)` planes `img`: the rows that [`im2col`](crate::im2col) writes, `+0.0`
-/// at pads. With `inv`, the inverse scales of the image's rows, each tile
-/// row packs as the int8 codes `quantize_to_i8` gives that im2col row,
-/// widened to `f32`.
+/// The `[OH·OW, C·K·K]` patch matrix of one image, read from its `(C, HP,
+/// WP)` planes: the image zero-padded by `spec.padding` on every side (the
+/// image itself when that is 0), `hw = (HP, WP)`. Every receptive field
+/// lies inside the planes, so a tile row is `C·K` runs of `K` floats from
+/// its origin, the values and order of the row [`im2col`](crate::im2col)
+/// writes, `+0.0` at pads. With `inv`, the inverse scales of the image's
+/// rows, each tile row packs as the int8 codes `quantize_to_i8` gives that
+/// im2col row, widened to `f32`.
 #[derive(Clone, Copy)]
 struct Patches<'a> {
-    img: &'a [f32],
-    chw: (usize, usize, usize),
+    planes: &'a [f32],
+    hw: (usize, usize),
     ow: usize,
     spec: Conv2dSpec,
     inv: Option<&'a [f32]>,
@@ -846,61 +854,87 @@ impl PackA for Patches<'_> {
 }
 
 impl Patches<'_> {
+    /// Offset in the planes of output position `r`'s receptive-field origin.
+    #[inline(always)]
+    fn origin(&self, r: usize) -> usize {
+        (r / self.ow * self.hw.1 + r % self.ow) * self.spec.stride
+    }
+
     /// The `f32` tile: `atile[p·MR + ii]` is element `p` of patch row
     /// `first + ii`, `+0.0` for `ii >= mr`.
     #[inline(always)]
     fn fill(&self, atile: &mut [f32], first: usize, mr: usize, k: usize) {
-        let ((c, h, w), kernel, stride) = (self.chw, self.spec.kernel, self.spec.stride);
-        let (img, pad) = (self.img, self.spec.padding as isize);
-        // receptive-field origin of each tile row
-        let (mut iy0, mut ix0) = ([0isize; MR], [0isize; MR]);
-        for ii in 0..mr {
-            let (oy, ox) = ((first + ii) / self.ow, (first + ii) % self.ow);
-            (iy0[ii], ix0[ii]) = ((oy * stride) as isize - pad, (ox * stride) as isize - pad);
-        }
-        let inside = |v: isize, len: usize| (0..len as isize).contains(&v);
-        // a full stride-1 tile within one output row and inside the image
-        let (y0, x0, atile) = (iy0[0], ix0[0], &mut atile[..k * MR]);
-        let rows_in = iy0[MR - 1] == y0 && inside(y0, (h + 1).saturating_sub(kernel));
-        if mr == MR && stride == 1 && rows_in && inside(x0, (w + 2).saturating_sub(MR + kernel)) {
-            let at = y0 as usize * w + x0 as usize;
-            match kernel {
-                1 => return inner_taps::<1>(atile, img, (h, w), at),
-                3 => return inner_taps::<3>(atile, img, (h, w), at),
+        let (kernel, (hp, wp), atile) = (self.spec.kernel, self.hw, &mut atile[..k * MR]);
+        // a full tile within one output row: `MR` evenly spaced windows
+        if mr == MR && first % self.ow + MR <= self.ow {
+            let (planes, at) = ((self.planes, hp * wp, wp), self.origin(first));
+            match (kernel, self.spec.stride) {
+                (1, 1) => return window_taps::<1, 1>(atile, planes, at),
+                (3, 1) => return window_taps::<3, 1>(atile, planes, at),
+                (1, 2) => return window_taps::<1, 2>(atile, planes, at),
+                (3, 2) => return window_taps::<3, 2>(atile, planes, at),
                 _ => {}
             }
         }
-        let mut taps = atile.chunks_exact_mut(MR);
-        for plane in (0..c).map(|ci| &img[ci * h * w..(ci + 1) * h * w]) {
-            for ky in 0..kernel as isize {
-                for kx in 0..kernel as isize {
-                    let dst = taps.next().expect("k = C·K·K taps");
-                    for (ii, d) in dst.iter_mut().enumerate() {
-                        let (iy, ix) = (iy0[ii] + ky, ix0[ii] + kx);
-                        let hit = ii < mr && inside(iy, h) && inside(ix, w);
-                        *d = if hit {
-                            plane[iy as usize * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                    }
+        // any other tile, row by row
+        for ii in 0..MR {
+            let col = atile.chunks_exact_mut(MR).map(|tap| &mut tap[ii]);
+            if ii >= mr {
+                col.for_each(|d| *d = 0.0);
+                continue;
+            }
+            let o = self.origin(first + ii);
+            let runs = (0..k / (kernel * kernel))
+                .flat_map(|ci| (0..kernel).map(move |ky| ci * hp * wp + o + ky * wp));
+            for (d, &v) in col.zip(runs.flat_map(|s| &self.planes[s..s + kernel])) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// The taps of a full tile whose positions lie in one output row, from the
+/// receptive-field origin `at` of its first position in `planes` (each
+/// `len` floats, rows `wp` apart): per `(c, ky)`, `K` windows of `MR`
+/// floats `S` apart along one padded row.
+#[inline(always)]
+fn window_taps<const K: usize, const S: usize>(
+    atile: &mut [f32],
+    (planes, len, wp): (&[f32], usize, usize),
+    at: usize,
+) {
+    for (ci, taps) in atile.chunks_exact_mut(K * K * MR).enumerate() {
+        for (ky, row) in taps.chunks_exact_mut(K * MR).enumerate() {
+            let src = &planes[ci * len + at + ky * wp..][..(MR - 1) * S + K];
+            for (kx, dst) in row.chunks_exact_mut(MR).enumerate() {
+                let window = &src[kx..kx + (MR - 1) * S + 1];
+                for (ii, d) in dst.iter_mut().enumerate() {
+                    *d = window[ii * S];
                 }
             }
         }
     }
 }
 
-/// The taps of a tile whose receptive fields lie inside the `(h, w)`
-/// planes of `img`, from offset `at`: per `(c, ky)`, `K` windows of `MR`
-/// consecutive floats of one image row.
-#[inline(always)]
-fn inner_taps<const K: usize>(atile: &mut [f32], img: &[f32], (h, w): (usize, usize), at: usize) {
-    for (ci, taps) in atile.chunks_exact_mut(K * K * MR).enumerate() {
-        for (ky, row) in taps.chunks_exact_mut(K * MR).enumerate() {
-            let src = &img[ci * h * w + at + ky * w..][..MR - 1 + K];
-            for (kx, dst) in row.chunks_exact_mut(MR).enumerate() {
-                let dst: &mut [f32; MR] = dst.try_into().expect("MR floats");
-                *dst = src[kx..kx + MR].try_into().expect("MR floats");
+/// Copies the `(C, H, W)` planes of `img` into `dst` as `(C, H+2p, W+2p)`
+/// planes with `+0.0` borders, quantizing each pixel at `inv` if given
+/// (the border's code is 0 at any scale).
+fn pad_into(dst: &mut [f32], img: &[f32], (h, w): (usize, usize), p: usize, inv: Option<f32>) {
+    let wp = w + 2 * p;
+    for (ci, plane) in dst.chunks_exact_mut((h + 2 * p) * wp).enumerate() {
+        plane[..p * wp].fill(0.0);
+        plane[(p + h) * wp..].fill(0.0);
+        for (y, row) in plane[p * wp..(p + h) * wp].chunks_exact_mut(wp).enumerate() {
+            row[..p].fill(0.0);
+            row[p + w..].fill(0.0);
+            let (row, src) = (&mut row[p..p + w], &img[(ci * h + y) * w..][..w]);
+            match inv {
+                Some(inv) => {
+                    for (d, &v) in row.iter_mut().zip(src) {
+                        *d = qn_simd::quantize_lane(v, inv);
+                    }
+                }
+                None => row.copy_from_slice(src),
             }
         }
     }
@@ -908,11 +942,13 @@ fn inner_taps<const K: usize>(atile: &mut [f32], img: &[f32], (h, w): (usize, us
 
 /// Convolution on a patch operand: `out[i] ← (patches(x[i]) · b)ᵀ` for each
 /// image of the NCHW `x`, `b` `[C·K·K, N]` (`Wᵀ` for filters `W`), `out`
-/// `[B, N, OH·OW]`. Tiles pack straight from the image into the packed path
-/// at every shape and store transposed into the planes; each element is
-/// the `gemm`-over-[`im2col`](crate::im2col) dot, from `+0.0` in the same
-/// order, so the bits match at any thread count and SIMD level. Large
-/// images split into bands of output positions across the pool.
+/// `[B, N, OH·OW]`. Each image is copied once into zero-padded planes
+/// (read in place when the padding is 0), and every tile packs from them
+/// into the packed path at every shape and stores transposed into the
+/// output planes; each element is the `gemm`-over-[`im2col`](crate::im2col)
+/// dot, from `+0.0` in the same order, so the bits match at any thread
+/// count and SIMD level. Large images split into bands of output positions
+/// across the pool.
 ///
 /// # Panics
 ///
@@ -925,6 +961,8 @@ pub fn gemm_patches(out: &mut [f32], x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>
 /// The band loop of [`gemm_patches`] and, given `int8 = (sb, act)`, of
 /// [`gemm_i8_patches`](crate::gemm_i8_patches): patch row `r` is quantized
 /// at its `act` scale `sa[r]` and each sum stored as `(acc·sa[r])·sb[j]`.
+/// The padded planes and the scales come from the calling thread's
+/// [`scratch`] cache and are rewritten, borders included, for every image.
 /// Returns the largest patch-row absmax under [`ActScale::PerRow`], else
 /// `0.0`. `what` names the caller in panics.
 pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
@@ -937,7 +975,7 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
 ) -> f32 {
     let (batches, c, h, w) = x.dims4();
     let (oh, ow) = spec.output_hw(h, w);
-    let (m, k, n, rows) = (oh * ow, spec.patch_len(c), b.cols, batches * oh * ow);
+    let (m, k, n) = (oh * ow, spec.patch_len(c), b.cols);
     assert_eq!(b.rows, k, "{what}: b must have {k} rows");
     assert_eq!(
         out.len(),
@@ -947,22 +985,48 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
     if out.is_empty() {
         return 0.0;
     }
-    // an int8 product's row scales `sa` and, per row, inverse scales `inv`,
-    // as `quantize_acts` in `qn-nn` derives them for the im2col rows; with
-    // one frozen scale, `codes` holds each image quantized instead
-    let (mut scales, mut codes, mut seen) = (Vec::new(), Vec::new(), 0.0f32);
-    match int8 {
-        None => {}
+    let (p, hw) = (spec.padding, (h + 2 * spec.padding, w + 2 * spec.padding));
+    // an int8 product's row scales `sa` for one image and, while dynamic,
+    // their inverses `inv` and the image's per-pixel channel absmaxes, as
+    // `quantize_acts` in `qn-nn` derives the scales for the im2col rows;
+    // every row shares a frozen scale, so each pixel is quantized once, as
+    // it is padded: its code is the same in every patch row that holds it
+    let (frozen, mut scales) = match int8 {
+        None => (None, Vec::new()),
         Some((_, ActScale::Frozen(s))) => {
-            scales = scratch::take_f32(rows);
-            scales.fill(s);
-            codes = scratch::take_f32(c * h * w);
+            let mut sa = scratch::take_f32(m);
+            sa.fill(s);
+            (Some(1.0 / s), sa)
         }
-        Some((_, ActScale::PerRow)) => {
-            scales = scratch::take_f32(2 * rows);
-            let (sa, inv) = scales.split_at_mut(rows);
-            patch_absmax(sa, x, spec);
-            for (a, v) in sa.iter_mut().zip(inv) {
+        Some((_, ActScale::PerRow)) => (None, scratch::take_f32(2 * m + hw.0 * hw.1)),
+    };
+    let (copy, mut seen) = (p > 0 || frozen.is_some(), 0.0f32);
+    let mut padded = if copy {
+        scratch::take_f32(c * hw.0 * hw.1)
+    } else {
+        Vec::new()
+    };
+    let (level, packed, blocks) = (SimdLevel::active(), pack_b(b), m.div_ceil(MR));
+    let (big, threads) = (m * n * k >= PAR_MIN_MACS, qn_parallel::num_threads());
+    let rows_per_band = blocks.div_ceil(if big { threads.min(blocks) } else { 1 }) * MR;
+    let chw = c * h * w;
+    for (i, slab) in out.chunks_mut(n * m).enumerate() {
+        let img = &x.data()[i * chw..(i + 1) * chw];
+        if copy {
+            pad_into(&mut padded, img, (h, w), p, frozen);
+        }
+        let mut a = Patches {
+            planes: if copy { &padded } else { img },
+            hw,
+            ow,
+            spec,
+            inv: None,
+        };
+        let sa = if let Some((_, ActScale::PerRow)) = int8 {
+            let (sa, rest) = scales.split_at_mut(m);
+            let (inv, pixel) = rest.split_at_mut(m);
+            patch_absmax(sa, pixel, &a);
+            for (a, v) in sa.iter_mut().zip(&mut *inv) {
                 if *a > seen {
                     seen = *a;
                 }
@@ -972,34 +1036,12 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
                     (0.0, 0.0)
                 };
             }
-        }
-    }
-    let (sa, inv) = scales.split_at(rows.min(scales.len()));
-    let (level, packed, blocks) = (SimdLevel::active(), pack_b(b), m.div_ceil(MR));
-    let (big, threads) = (m * n * k >= PAR_MIN_MACS, qn_parallel::num_threads());
-    let rows_per_band = blocks.div_ceil(if big { threads.min(blocks) } else { 1 }) * MR;
-    let chw = c * h * w;
-    for (i, slab) in out.chunks_mut(n * m).enumerate() {
-        let mut img = &x.data()[i * chw..(i + 1) * chw];
-        if let Some((_, ActScale::Frozen(s))) = int8 {
-            // every row shares the scale, so each pixel is quantized once:
-            // its code is the same in every patch row that holds it
-            let inv = 1.0 / s;
-            for (q, &v) in codes.iter_mut().zip(img) {
-                *q = qn_simd::quantize_lane(v, inv);
-            }
-            img = &codes;
-        }
-        let span = i * m..(i + 1) * m;
-        let inv = (!inv.is_empty()).then(|| &inv[span.clone()]);
-        let a = Patches {
-            img,
-            chw: (c, h, w),
-            ow,
-            spec,
-            inv,
+            a.inv = Some(inv);
+            &*sa
+        } else {
+            &scales[..]
         };
-        let scales = int8.map(|(sb, _)| (&sa[span], sb));
+        let scales = int8.map(|(sb, _)| (sa, sb));
         let dst = ColBand {
             slab,
             m,
@@ -1021,41 +1063,37 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
     }
     scratch::give_f32(packed.data);
     scratch::give_f32(scales);
-    scratch::give_f32(codes);
+    scratch::give_f32(padded);
     seen
 }
 
-/// Writes the absmax of every patch row of every image of `x` into `out`
-/// (`B·OH·OW` values): the largest `|v|` from `+0.0`, NaN skipped, as
-/// `quantize_acts` in `qn-nn` scans an im2col row. Read tile by tile
-/// through the packer, so no patch matrix is built.
-fn patch_absmax(out: &mut [f32], x: &Tensor, spec: Conv2dSpec) {
-    let (_, c, h, w) = x.dims4();
-    let (oh, ow) = spec.output_hw(h, w);
-    let k = spec.patch_len(c);
-    let (mut atile, chw) = (scratch::take_f32(k * MR), c * h * w);
-    for (i, rows) in out.chunks_mut(oh * ow).enumerate() {
-        let img = &x.data()[i * chw..(i + 1) * chw];
-        let a = Patches {
-            img,
-            chw: (c, h, w),
-            ow,
-            spec,
-            inv: None,
-        };
-        for (t, maxes) in rows.chunks_mut(MR).enumerate() {
-            a.pack(&mut atile, t * MR, maxes.len(), k);
-            maxes.fill(0.0);
-            for tap in atile[..k * MR].chunks_exact(MR) {
-                for (mx, &v) in maxes.iter_mut().zip(tap) {
-                    if v.abs() > *mx {
-                        *mx = v.abs();
-                    }
+/// Writes the absmax of each patch row of `a`'s image into `out` (`OH·OW`
+/// values): the largest `|v|` from `+0.0`, NaN skipped, as `quantize_acts`
+/// in `qn-nn` scans an im2col row. Each pixel's absmax over the channels
+/// goes into `pixel` first, then each row takes the largest over its
+/// `K×K` window of `pixel`. Both scans keep the largest non-NaN magnitude,
+/// which does not depend on their order, so every row keeps its bits.
+fn patch_absmax(out: &mut [f32], pixel: &mut [f32], a: &Patches<'_>) {
+    let (kernel, (hp, wp)) = (a.spec.kernel, a.hw);
+    pixel.fill(0.0);
+    for plane in a.planes.chunks_exact(hp * wp) {
+        for (mx, &v) in pixel.iter_mut().zip(plane) {
+            if v.abs() > *mx {
+                *mx = v.abs();
+            }
+        }
+    }
+    for (r, mx) in out.iter_mut().enumerate() {
+        let o = a.origin(r);
+        *mx = 0.0;
+        for ky in 0..kernel {
+            for &v in &pixel[o + ky * wp..][..kernel] {
+                if v > *mx {
+                    *mx = v;
                 }
             }
         }
     }
-    scratch::give_f32(atile);
 }
 
 /// The seed naive matmul kernels, retained verbatim (modulo the parallel

@@ -30,7 +30,9 @@
 //! [`gemm_i8`] is **bit-identical** to its `i32` specification
 //! [`gemm_i8_reference`] across dispatch levels and thread counts.
 //!
-//! [`gemm_i8_patches`] quantizes as it packs: every code equals the one
+//! [`gemm_i8_patches`] quantizes each image once into its zero-padded
+//! planes under a frozen scale, and each tile row as it packs from the
+//! padded `f32` planes under per-row scales: every code equals the one
 //! `qn_simd::quantize_to_i8` gives the im2col row at the row's scale (the
 //! two share [`qn_simd::quantize_lane`]), so its output is, bit for bit,
 //! [`gemm_i8`] over the codes of the [`im2col`](crate::im2col) rows, read
@@ -391,13 +393,16 @@ pub enum ActScale {
 /// `[N, C·K·K]` weight view), `sb` its per-column scales, `out`
 /// `[B, N, OH·OW]` (fully overwritten).
 ///
-/// The patches are never materialized: every tile packs straight from the
-/// image through [`gemm_patches`](crate::gemm_patches)' band loop,
-/// quantizing each row by its `act` scale (`sa[r]`) on the way — under
-/// one frozen scale, by quantizing each image once — and the transposed
-/// store applies the scales. The output equals [`gemm_i8`]
-/// over the `quantize_to_i8` codes of the [`im2col`](crate::im2col) rows
-/// in every bit, at every SIMD level and thread count.
+/// The patches are never materialized: every tile packs from the image's
+/// zero-padded planes through [`gemm_patches`](crate::gemm_patches)' band
+/// loop, each row quantized by its `act` scale (`sa[r]`). Under one frozen
+/// scale each image is quantized once, as it is copied into the planes;
+/// per-row scales come from each pixel's absmax over the channels and
+/// then each row's largest over its window, and quantize the tile rows as
+/// they pack. The transposed store applies the scales. The output equals
+/// [`gemm_i8`] over the `quantize_to_i8` codes of the
+/// [`im2col`](crate::im2col) rows in every bit, at every SIMD level and
+/// thread count.
 ///
 /// Returns the largest patch-row absmax under [`ActScale::PerRow`] (`∞`
 /// if a row holds one), else `0.0`: what a dynamic layer folds into its

@@ -1,15 +1,17 @@
 //! The patch-operand GEMM against `gemm` over an explicit im2col matrix,
 //! bit for bit.
 //!
-//! `gemm_patches` packs each `MR`-row tile straight from the NCHW image and
-//! stores every block transposed into the image's output planes. It must
-//! equal `gemm(im2col(x), b)`, read per image as `[N, OH·OW]`, in every bit
-//! over kernels 1/3/5, strides 1–3, padding 0–2 (padding at or above the
-//! kernel size included), batches 1–3, image widths that are and are not
-//! a multiple of `MR`, output widths 1/3/8/10/30, products with fewer than
-//! `MR` rows or `NR` columns, and images holding NaN, ±∞ and −0.0 — at
-//! every SIMD level, at the pool's width and on one thread. Own
-//! integration binary because `force_level` is process-global.
+//! `gemm_patches` packs each `MR`-row tile from the image's zero-padded
+//! planes and stores every block transposed into the image's output
+//! planes. It must equal `gemm(im2col(x), b)`, read per image as
+//! `[N, OH·OW]`, in every bit over kernels 1/3/5, strides 1–3, padding 0–2
+//! (padding at or above the kernel size included), batches 1–3, image
+//! widths that are and are not a multiple of `MR`, output widths
+//! 1/3/8/10/30, products with fewer than `MR` rows or `NR` columns,
+//! ResNet-20's served geometries, and images holding NaN, ±∞ and −0.0 — at
+//! every SIMD level, at the pool's width and on one thread — and after
+//! recycled scratch that held NaN. Own integration binary because
+//! `force_level` is process-global.
 
 use qn_tensor::{gemm, gemm_patches, im2col, Conv2dSpec, MatMut, MatRef, Rng, Tensor};
 use std::sync::Mutex;
@@ -65,6 +67,38 @@ fn input_side(out: usize, spec: Conv2dSpec) -> usize {
     ((out - 1) * spec.stride + spec.kernel).saturating_sub(2 * spec.padding)
 }
 
+/// Asserts that `gemm_patches` equals the im2col route bit for bit at
+/// every SIMD level, at the pool's width and on one thread.
+fn assert_matches_im2col(x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>) {
+    let (batches, c, h, w) = x.dims4();
+    let (oh, ow) = spec.output_hw(h, w);
+    let (kernel, stride, padding, n) = (spec.kernel, spec.stride, spec.padding, b.cols());
+    let what = format!(
+        "x [{batches}, {c}, {h}, {w}], kernel {kernel} stride {stride} pad {padding} \
+         -> {oh}x{ow}, n {n}"
+    );
+    for level in qn_simd::available_levels() {
+        qn_simd::force_level(level);
+        let want = via_im2col(x, spec, b);
+        let run = || {
+            let mut out = vec![f32::NAN; want.len()];
+            gemm_patches(&mut out, x, spec, b);
+            out
+        };
+        let pooled = run();
+        let one = qn_parallel::with_max_threads(1, run);
+        for (got, threads) in [(pooled, "pool"), (one, "one thread")] {
+            for (e, (&g, &v)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    same_bits(g, v),
+                    "{what} at {level:?}, {threads}: element {e} is {g:e} \
+                     patch vs {v:e} im2col"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn patch_gemm_is_bit_identical_to_im2col_gemm() {
     let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -95,41 +129,76 @@ fn patch_gemm_is_bit_identical_to_im2col_gemm() {
                     banded += usize::from(spec.output_hw(h, w).0 * ow * n * k >= 32768);
                     let x = edge_image(&[batches, c, h, w], &mut rng);
                     let wt = Tensor::randn(&[n, k], &mut rng);
-                    let b = MatRef::new(wt.data(), n, k).transpose();
-                    let (oh, ow) = spec.output_hw(h, w);
-                    let what = format!(
-                        "x [{batches}, {c}, {h}, {w}], kernel {kernel} stride {stride} \
-                         pad {padding} -> {oh}x{ow}, n {n}"
-                    );
-                    for level in qn_simd::available_levels() {
-                        qn_simd::force_level(level);
-                        let want = via_im2col(&x, spec, b);
-                        let run = || {
-                            let mut out = vec![f32::NAN; want.len()];
-                            gemm_patches(&mut out, &x, spec, b);
-                            out
-                        };
-                        let pooled = run();
-                        let one = qn_parallel::with_max_threads(1, run);
-                        for (got, threads) in [(pooled, "pool"), (one, "one thread")] {
-                            for (e, (&g, &v)) in got.iter().zip(&want).enumerate() {
-                                assert!(
-                                    same_bits(g, v),
-                                    "{what} at {level:?}, {threads}: element {e} is {g:e} \
-                                     patch vs {v:e} im2col"
-                                );
-                            }
-                        }
-                    }
+                    assert_matches_im2col(&x, spec, MatRef::new(wt.data(), n, k).transpose());
                 }
             }
         }
+    }
+    // ResNet-20's served geometries (width 8): C = 8–32 at 32, 16 and 8 px,
+    // 3×3 stride 1 and 2 with padding 1 and the 1×1 stride-2 shortcut, at
+    // batch 2
+    let (s1, s2, shortcut) = (
+        Conv2dSpec::new(3, 1, 1),
+        Conv2dSpec::new(3, 2, 1),
+        Conv2dSpec::new(1, 2, 0),
+    );
+    for (c, side, spec, n) in [
+        (8usize, 32usize, s1, 8usize),
+        (8, 32, s2, 16),
+        (8, 32, shortcut, 16),
+        (16, 16, s1, 16),
+        (16, 16, s2, 32),
+        (16, 16, shortcut, 32),
+        (32, 8, s1, 32),
+    ] {
+        let k = spec.patch_len(c);
+        let (oh, ow) = spec.output_hw(side, side);
+        assert!(
+            oh * ow * n * k >= 32768,
+            "{c}x{side}: too small to split into bands"
+        );
+        let x = edge_image(&[2, c, side, side], &mut rng);
+        let wt = Tensor::randn(&[n, k], &mut rng);
+        assert_matches_im2col(&x, spec, MatRef::new(wt.data(), n, k).transpose());
     }
     qn_simd::force_level(prev_level);
     assert!(
         ran > 100 && unaligned_widths > 50 && banded > 0,
         "the grid lost its cases"
     );
+}
+
+#[test]
+fn recycled_scratch_leaves_no_stale_values() {
+    // On one thread every product reuses the same thread-local scratch.
+    // An all-NaN padded image leaves NaN wherever a later, smaller image's
+    // pad border falls, so a border that is not rewritten shows as NaN.
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let mut rng = Rng::seed_from(22);
+    let images = [
+        ([1usize, 4, 20, 20], Conv2dSpec::new(3, 1, 1)),
+        ([1, 4, 17, 13], Conv2dSpec::new(3, 1, 2)),
+        ([2, 3, 11, 9], Conv2dSpec::new(3, 2, 1)),
+        ([1, 4, 12, 10], Conv2dSpec::new(3, 1, 0)),
+        ([1, 4, 12, 10], Conv2dSpec::new(1, 2, 0)),
+    ];
+    qn_parallel::with_max_threads(1, || {
+        for (i, (dims, spec)) in images.into_iter().enumerate() {
+            let mut x = Tensor::randn(&dims, &mut rng);
+            if i == 0 {
+                x.data_mut().fill(f32::NAN);
+            }
+            let (n, k) = (8, spec.patch_len(dims[1]));
+            let wt = Tensor::randn(&[n, k], &mut rng);
+            let b = MatRef::new(wt.data(), n, k).transpose();
+            let want = via_im2col(&x, spec, b);
+            let mut got = vec![0.0f32; want.len()];
+            gemm_patches(&mut got, &x, spec, b);
+            for (e, (&g, &v)) in got.iter().zip(&want).enumerate() {
+                assert!(same_bits(g, v), "image {i}: element {e} is {g:e} vs {v:e}");
+            }
+        }
+    });
 }
 
 #[test]

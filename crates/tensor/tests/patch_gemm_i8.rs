@@ -2,17 +2,19 @@
 //! rows, bit for bit.
 //!
 //! `gemm_i8_patches` quantizes each patch row as the GEMM packs it from the
-//! `f32` image and scales each sum as it stores it into the planes. It must
+//! image's zero-padded planes (under a frozen scale, quantized once as they
+//! are padded) and scales each sum as it stores it into the planes. It must
 //! equal the im2col route — `quantize_to_i8` on every im2col row at that
 //! row's scale, `gemm_i8` over the codes, read per image as `[N, OH·OW]` —
 //! in every bit, with the frozen scale and with per-row dynamic scales, and
 //! return the im2col rows' largest absmax in the dynamic mode. The grid
 //! covers 3×3 stride 1 and 2 with padding 1 and 1×1 stride 2 without, 3
-//! input channels, a batch of 2, planes whose `MR`-row tiles straddle row
-//! ends and padding, products that split into position bands, and images
+//! input channels and ResNet-20's served planes (8–32 channels at 32, 16
+//! and 8 px), a batch of 2, planes whose `MR`-row tiles straddle row ends
+//! and padding, products that split into position bands, and images
 //! holding NaN, ±∞ and −0.0 — at every SIMD level, at the pool's width and
-//! on one thread. Own integration binary because `force_level` is
-//! process-global.
+//! on one thread — and products after recycled scratch that held large
+//! values. Own integration binary because `force_level` is process-global.
 
 use qn_tensor::{
     gemm_i8, gemm_i8_patches, im2col, ActScale, Conv2dSpec, MatMut, MatRefI8, QTensor, Rng, Tensor,
@@ -107,13 +109,16 @@ fn int8_patch_product_is_bit_identical_to_the_im2col_route() {
     for (kernel, stride, padding) in [(3usize, 1usize, 1usize), (3, 2, 1), (1, 2, 0)] {
         let spec = Conv2dSpec::new(kernel, stride, padding);
         // widths that are not a multiple of `MR` make tiles wrap across
-        // row ends; the 16×16 image splits into bands at n = 40
-        for (h, w, n, edges) in [
-            (5usize, 7usize, 6usize, false),
-            (9, 6, 13, true),
-            (16, 16, 40, false),
+        // row ends; the 16×16 image splits into bands at n = 40; the last
+        // three are ResNet-20's served planes (width 8)
+        for (c, h, w, n, edges) in [
+            (3usize, 5usize, 7usize, 6usize, false),
+            (3, 9, 6, 13, true),
+            (3, 16, 16, 40, false),
+            (8, 32, 32, 16, false),
+            (16, 16, 16, 32, true),
+            (32, 8, 8, 32, false),
         ] {
-            let c = 3;
             let k = spec.patch_len(c);
             let x = image(&[2, c, h, w], 1.5, edges, &mut rng);
             let wq = QTensor::quantize(&Tensor::randn(&[n, k], &mut rng));
@@ -162,7 +167,41 @@ fn int8_patch_product_is_bit_identical_to_the_im2col_route() {
         }
     }
     qn_simd::force_level(prev_level);
-    assert!(ran == 18 && banded > 0, "the grid lost its cases");
+    assert!(ran == 36 && banded > 0, "the grid lost its cases");
+}
+
+#[test]
+fn recycled_scratch_leaves_no_stale_values() {
+    // On one thread every product reuses the same thread-local scratch. A
+    // first image of large values leaves them wherever a later, smaller
+    // image's pad border or pixel absmax falls, where they would change
+    // codes, scales and sums.
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let mut rng = Rng::seed_from(23);
+    let images = [
+        ([1usize, 4, 20, 20], Conv2dSpec::new(3, 1, 1)),
+        ([1, 4, 17, 13], Conv2dSpec::new(3, 1, 2)),
+        ([2, 3, 11, 9], Conv2dSpec::new(3, 2, 1)),
+        ([1, 4, 12, 10], Conv2dSpec::new(3, 1, 0)),
+        ([1, 4, 12, 10], Conv2dSpec::new(1, 2, 0)),
+    ];
+    qn_parallel::with_max_threads(1, || {
+        for act in [ActScale::Frozen(0.02), ActScale::PerRow] {
+            for (i, (dims, spec)) in images.into_iter().enumerate() {
+                let x = image(&dims, if i == 0 { 1e4 } else { 1.0 }, false, &mut rng);
+                let k = spec.patch_len(dims[1]);
+                let wq = QTensor::quantize(&Tensor::randn(&[8, k], &mut rng));
+                let (want, want_seen) = via_im2col(&x, spec, &wq, act);
+                let mut got = vec![0.0f32; want.len()];
+                let b = wq.mat().transpose();
+                let seen = gemm_i8_patches(&mut got, &x, spec, b, wq.scales(), act);
+                assert_eq!(seen.to_bits(), want_seen.to_bits(), "{act:?}, image {i}");
+                for (e, (&g, &v)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), v.to_bits(), "{act:?}, image {i}: element {e}");
+                }
+            }
+        }
+    });
 }
 
 #[test]
