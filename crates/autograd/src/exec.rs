@@ -494,10 +494,9 @@ pub trait Exec {
 ///   not drop the computed tensors; it rewinds a cursor. The next pass
 ///   refits each slot's buffer in place, so a steady-state serving loop
 ///   that repeats the same op sequence (the common case: one model, one
-///   request shape) on one worker thread performs **zero heap
-///   allocations** — `crates/bench/tests/contracts.rs` checks this with a
-///   counting allocator. With more threads, each parallel region boxes
-///   its tasks.
+///   request shape) performs **zero heap allocations** at any pool size
+///   — `crates/bench/tests/contracts.rs` checks this with a counting
+///   allocator.
 /// - **Off-tape values** ([`Exec::detached`], the int8 layers' outputs)
 ///   are written into the next slot like every op's.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the

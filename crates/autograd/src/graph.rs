@@ -50,9 +50,11 @@ struct Node {
 /// value and earlier ones, so no later step of the sweep needs it — and
 /// each distributed gradient buffer once accumulated. The loss the sweep
 /// starts from, every leaf and every parameter binding stay readable.
-/// Step `N+1`'s pooled consumers (the GEMM packing scratch, `EagerExec`
-/// arenas, `Tensor::from_pooled` call sites) then reuse step `N`'s buffers
-/// instead of hitting the allocator. After a pooled backward,
+/// Only the arena's kernel scratch (the quadratic ops' stacked `[wⱼ; Qⱼ]`
+/// operand, batch norm's `1/σ`) takes from the pool again; the GEMM
+/// packing scratch recycles through per-thread caches instead, and a
+/// fresh arena slot or gradient is a new tensor, so most reclaimed buffers
+/// stay in the pool unused. After a pooled backward,
 /// [`Graph::value`] of an op the gradient reached panics — read
 /// intermediate values before calling `backward`, or leave the pool
 /// unattached (the default, which reclaims nothing).

@@ -4,17 +4,20 @@
 //!    ResNet-20, on its linear baseline and on the quadratic one's
 //!    calibrated int8 twin, at 16 and then 32 px, makes **zero**
 //!    allocations and zero frees, and still returns the cold output bit
-//!    for bit. The six sessions run one after another on one thread, so
-//!    each one also checks that scratch left by the products of the
-//!    earlier ones does not make it allocate;
-//! 2. a `LoadMode::Mapped` checkpoint load leaves every parameter mapped,
+//!    for bit — on one worker thread, and then again at the pool's full
+//!    size, where its parallel regions must not allocate either. The six
+//!    sessions of each pass run one after another, so each one also
+//!    checks that scratch left by the products of the earlier ones does
+//!    not make it allocate;
+//! 2. so does `predict_batch` of 4 images on the quadratic ResNet-20 at
+//!    the pool's full size, which shards the batch across the pool;
+//! 3. a `LoadMode::Mapped` checkpoint load leaves every parameter mapped,
 //!    predicts bit-identically to the saved model, and allocates at least
 //!    the parameter bytes less than a `LoadMode::Copy` load — it copies no
 //!    parameter byte.
 //!
 //! Declared with `harness = false`: the counters are process-global, so no
-//! libtest thread may run beside a measured region, and every measured
-//! region pins the worker pool to one thread.
+//! libtest thread may run beside a measured region.
 
 #[global_allocator]
 static ALLOC: qn_bench::counting_alloc::CountingAlloc = qn_bench::counting_alloc::CountingAlloc;
@@ -48,50 +51,58 @@ enum Tier {
     Int8,
 }
 
+/// Runs `run` cold, 3 times to warm up and 10 times measured on `x`,
+/// recycling each output, and asserts that the measured calls make no
+/// allocation and no free and that the last output is the cold one, bit
+/// for bit.
+fn steady_state_is_allocation_free<'m>(
+    what: &str,
+    session: &mut InferenceSession<'m>,
+    run: fn(&mut InferenceSession<'m>, &Tensor) -> Tensor,
+    x: &Tensor,
+) {
+    let cold = run(session, x);
+    // a few rounds so every pool bucket reaches steady state
+    for _ in 0..3 {
+        let y = run(session, x);
+        session.recycle(y);
+    }
+    let before = snapshot();
+    for _ in 0..9 {
+        let y = run(session, x);
+        session.recycle(y);
+    }
+    let last = run(session, x);
+    let steady = snapshot().since(&before);
+    let threads = qn_parallel::num_threads();
+    assert_eq!(
+        (steady.allocations, steady.frees),
+        (0, 0),
+        "{what} at {threads} threads: 10 steady-state calls made {} allocations and {} frees",
+        steady.allocations,
+        steady.frees
+    );
+    assert!(
+        last.bit_identical(&cold),
+        "{what} at {threads} threads: the steady state must reproduce the cold output bit for bit"
+    );
+    println!("contracts: steady-state {what} is allocation-free at {threads} threads");
+}
+
 fn predict_is_allocation_free(neuron: NeuronSpec, tier: Tier, px: usize) {
     let net = resnet20(neuron, 47);
     let x = Tensor::randn(&[3, px, px], &mut Rng::seed_from(48));
-    qn_parallel::with_max_threads(1, || {
-        let mut session = match tier {
-            Tier::F32 => InferenceSession::new(&net),
-            Tier::Int8 => {
-                let mut rng = Rng::seed_from(49);
-                let calib = (0..2).map(|_| Tensor::randn(&[2, 3, px, px], &mut rng));
-                InferenceSession::quantized_calibrated(&net, calib.collect::<Vec<_>>())
-                    .expect("ResNet-20 has an int8 twin")
-            }
-        };
-        let cold = session.predict(&x);
-        // a few rounds so every pool bucket reaches steady state
-        for _ in 0..3 {
-            let y = session.predict(&x);
-            session.recycle(y);
+    let mut session = match tier {
+        Tier::F32 => InferenceSession::new(&net),
+        Tier::Int8 => {
+            let mut rng = Rng::seed_from(49);
+            let calib = (0..2).map(|_| Tensor::randn(&[2, 3, px, px], &mut rng));
+            InferenceSession::quantized_calibrated(&net, calib.collect::<Vec<_>>())
+                .expect("ResNet-20 has an int8 twin")
         }
-        let before = snapshot();
-        for _ in 0..9 {
-            let y = session.predict(&x);
-            session.recycle(y);
-        }
-        let last = session.predict(&x);
-        let steady = snapshot().since(&before);
-        assert_eq!(
-            (steady.allocations, steady.frees),
-            (0, 0),
-            "{tier:?} {neuron:?} at {px} px: 10 steady-state predicts made {} allocations and \
-             {} frees",
-            steady.allocations,
-            steady.frees
-        );
-        assert!(
-            last.bit_identical(&cold),
-            "{tier:?} {neuron:?} at {px} px: the steady state must reproduce the cold output bit \
-             for bit"
-        );
-    });
-    println!(
-        "contracts: steady-state predict on {tier:?} {neuron:?} ResNet-20 at {px} px is \
-         allocation-free"
-    );
+    };
+    let what = format!("predict on {tier:?} {neuron:?} ResNet-20 at {px} px");
+    steady_state_is_allocation_free(&what, &mut session, InferenceSession::predict, &x);
 }
 
 /// Counts parameters whose storage is / is not a mapped file window.
@@ -163,11 +174,23 @@ fn mapped_load_copies_no_parameter_bytes() {
 
 fn main() {
     // spawn the worker pool first: thread startup allocates
-    let _ = qn_parallel::pool_threads();
-    for px in [16, 32] {
-        predict_is_allocation_free(QUADRATIC, Tier::F32, px);
-        predict_is_allocation_free(NeuronSpec::Linear, Tier::F32, px);
-        predict_is_allocation_free(QUADRATIC, Tier::Int8, px);
+    let pool = qn_parallel::pool_threads();
+    for threads in [1, pool] {
+        qn_parallel::with_max_threads(threads, || {
+            for px in [16, 32] {
+                predict_is_allocation_free(QUADRATIC, Tier::F32, px);
+                predict_is_allocation_free(NeuronSpec::Linear, Tier::F32, px);
+                predict_is_allocation_free(QUADRATIC, Tier::Int8, px);
+            }
+        });
     }
+    let net = resnet20(QUADRATIC, 47);
+    let x = Tensor::randn(&[4, 3, 32, 32], &mut Rng::seed_from(50));
+    steady_state_is_allocation_free(
+        &format!("predict_batch of 4 images on F32 {QUADRATIC:?} ResNet-20 at 32 px"),
+        &mut InferenceSession::new(&net),
+        InferenceSession::predict_batch,
+        &x,
+    );
     mapped_load_copies_no_parameter_bytes();
 }

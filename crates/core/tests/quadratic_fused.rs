@@ -13,7 +13,7 @@
 //! take for the stacked product: it packs only with ≥ 4 rows, ≥ 8 columns
 //! and ≥ 2048 MACs, and splits row bands from 32768 MACs. The patch
 //! operand packs at every shape, including fewer than 4 positions or 8
-//! columns, and splits bands of output positions from 32768 MACs.
+//! columns, and splits a batch across its images from 32768 MACs.
 //! (`exec_equivalence.rs` compares bits on tiny random shapes only.) Own
 //! integration binary because `force_level` is process-global.
 
@@ -184,7 +184,7 @@ fn conv_is_bit_identical_to_tape() {
             3,
             9,
             true,
-            "30 columns, position bands",
+            "30 columns, split across images",
         ),
         (
             [1, 3, 32, 32],

@@ -122,18 +122,16 @@ pub struct InferenceSession<'m> {
     /// Session-owned buffer pool: outputs are materialized from it (hand
     /// them back with [`InferenceSession::recycle`]) and the arena draws
     /// its kernel scratch from it. With a warm pool and a caller that
-    /// recycles, steady-state f32 `predict` on one worker thread performs
+    /// recycles, steady-state `predict` and `predict_batch` perform
     /// **zero** heap allocations (checked with a counting allocator by
     /// `crates/bench/tests/contracts.rs`).
     pool: Arc<BufferPool>,
-    /// Per-worker arenas for sharded batches, grown on demand and reused
-    /// across calls (index `w` always serves shard `w`, so each arena's
-    /// parameter-snapshot cache stays warm). Each worker arena recycles
-    /// through its **own** `BufferPool` shard, so workers never contend on
-    /// a pool lock.
-    shard_arenas: Vec<EagerExec>,
-    /// Output var of each shard's last pass (reused across calls).
-    shard_out: Vec<Option<Var>>,
+    /// Per-shard arenas for sharded batches, each with the output var of
+    /// its last pass, grown on demand and reused across calls (index `w`
+    /// always serves shard `w`, so each arena's parameter-snapshot cache
+    /// stays warm). Each shard arena recycles through its **own**
+    /// `BufferPool`, so shards never contend on a pool lock.
+    shard_arenas: Vec<(EagerExec, Option<Var>)>,
     /// Shard ranges of the last batch (reused across calls).
     shard_ranges: Vec<(usize, usize)>,
     sample_shape: Option<Vec<usize>>,
@@ -197,7 +195,6 @@ impl<'m> InferenceSession<'m> {
             cx: EagerExec::with_pool(Arc::clone(&pool)),
             pool,
             shard_arenas: Vec::new(),
-            shard_out: Vec::new(),
             shard_ranges: Vec::new(),
             sample_shape: None,
             precision: Precision::F32,
@@ -306,38 +303,29 @@ impl<'m> InferenceSession<'m> {
             return out;
         }
         if self.shard_arenas.len() < shards {
-            self.shard_arenas
-                .resize_with(shards, || EagerExec::with_pool(Arc::new(BufferPool::new())));
-        }
-        if self.shard_out.len() < shards {
-            self.shard_out.resize(shards, None);
+            self.shard_arenas.resize_with(shards, || {
+                (EagerExec::with_pool(Arc::new(BufferPool::new())), None)
+            });
         }
         qn_parallel::split_evenly_into(batch, shards, &mut self.shard_ranges);
-        let model = self.model.as_dyn();
-        {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(shards);
-            let work = self
-                .shard_arenas
-                .iter_mut()
-                .zip(self.shard_out.iter_mut())
-                .zip(self.shard_ranges.iter());
-            for ((arena, slot), &(lo, hi)) in work {
-                tasks.push(Box::new(move || {
-                    arena.reset();
-                    // copy the shard's rows straight into a recycled slot
-                    let v = arena.leaf_slice0(x, lo, hi);
-                    *slot = Some(model.forward(arena, v));
-                }));
-            }
-            qn_parallel::par_scope(tasks);
-        }
+        let (model, ranges) = (self.model.as_dyn(), &self.shard_ranges);
+        qn_parallel::par_chunks_mut(&mut self.shard_arenas[..shards], 1, |si, shard| {
+            let (arena, out) = &mut shard[0];
+            let (lo, hi) = ranges[si];
+            arena.reset();
+            // copy the shard's rows straight into a recycled slot
+            let v = arena.leaf_slice0(x, lo, hi);
+            *out = Some(model.forward(arena, v));
+        });
         // Assemble the shard outputs (still sitting in their arenas) into
         // one pooled tensor: shard `i` owns rows `ranges[i]`, so this is a
         // straight per-shard memcpy — bit-identical to the old
         // slice-then-concat, without materializing per-shard tensors.
+        fn shard_out((arena, out): &(EagerExec, Option<Var>)) -> &Tensor {
+            arena.value(out.expect("every shard ran"))
+        }
         let (nd, out_dims, inner) = {
-            let first = self.shard_out[0].expect("par_scope runs every shard");
-            let sd = self.shard_arenas[0].value(first).shape().dims();
+            let sd = shard_out(&self.shard_arenas[0]).shape().dims();
             assert!(
                 !sd.is_empty() && sd.len() <= 16,
                 "model output must keep the batch dimension (rank <= 16)"
@@ -351,9 +339,8 @@ impl<'m> InferenceSession<'m> {
         let mut out = Tensor::from_pooled_uninit(&self.pool, &out_dims[..nd]);
         {
             let od = out.data_mut();
-            for (si, &(lo, hi)) in self.shard_ranges.iter().enumerate() {
-                let v = self.shard_out[si].expect("par_scope runs every shard");
-                let sv = self.shard_arenas[si].value(v);
+            for (shard, &(lo, hi)) in self.shard_arenas.iter().zip(&self.shard_ranges) {
+                let sv = shard_out(shard);
                 debug_assert_eq!(sv.shape().dim(0), hi - lo, "shard output rows");
                 od[lo * inner..hi * inner].copy_from_slice(sv.data());
             }

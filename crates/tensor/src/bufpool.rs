@@ -7,8 +7,8 @@
 //! loop, a training step, a GEMM packing buffer) stops touching the global
 //! allocator entirely once the pool is warm. `crates/bench/tests/contracts.rs`
 //! verifies this with a counting allocator: after warmup,
-//! `InferenceSession::predict` on one worker thread performs **zero** heap
-//! allocations.
+//! `InferenceSession::predict` performs **zero** heap allocations, on one
+//! worker thread and at the pool's full size.
 //!
 //! Two element types are bucketed — `f32` (tensor data and kernel
 //! scratch) and `usize` (shape dims) — exactly the buffers the pooled hot

@@ -25,12 +25,17 @@
 
 use qn_parallel::PAR_MIN_ELEMS;
 
-#[inline]
-fn bands_for(n: usize) -> usize {
-    if n >= PAR_MIN_ELEMS {
-        qn_parallel::num_threads()
+/// Calls `band(start, chunk)` for consecutive chunks of `dst`, `start` the
+/// chunk's offset: one chunk per pool thread once `dst` holds
+/// [`PAR_MIN_ELEMS`] elements, else all of `dst` on the calling thread.
+/// Every kernel here bands through it, so each gets the same bands.
+fn banded(dst: &mut [f32], band: impl Fn(usize, &mut [f32]) + Sync) {
+    let n = dst.len();
+    if n < PAR_MIN_ELEMS {
+        band(0, dst);
     } else {
-        1
+        let len = n.div_ceil(qn_parallel::num_threads());
+        qn_parallel::par_chunks_mut(dst, len, |bi, chunk| band(bi * len, chunk));
     }
 }
 
@@ -41,18 +46,8 @@ fn bands_for(n: usize) -> usize {
 /// Panics if the slices have different lengths.
 pub fn map_to(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32 + Sync) {
     assert_eq!(dst.len(), src.len(), "map_to length mismatch");
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        for (o, &v) in dst.iter_mut().zip(src) {
-            *o = f(v);
-        }
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        let s = &src[start..start + chunk.len()];
-        for (o, &v) in chunk.iter_mut().zip(s) {
+    banded(dst, |at, d| {
+        for (o, &v) in d.iter_mut().zip(&src[at..]) {
             *o = f(v);
         }
     });
@@ -66,19 +61,8 @@ pub fn map_to(dst: &mut [f32], src: &[f32], f: impl Fn(f32) -> f32 + Sync) {
 pub fn zip_to(dst: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) {
     assert_eq!(dst.len(), a.len(), "zip_to length mismatch");
     assert_eq!(dst.len(), b.len(), "zip_to length mismatch");
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        let sa = &a[start..start + chunk.len()];
-        let sb = &b[start..start + chunk.len()];
-        for ((o, &x), &y) in chunk.iter_mut().zip(sa).zip(sb) {
+    banded(dst, |at, d| {
+        for ((o, &x), &y) in d.iter_mut().zip(&a[at..]).zip(&b[at..]) {
             *o = f(x, y);
         }
     });
@@ -86,16 +70,8 @@ pub fn zip_to(dst: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32
 
 /// `dst[i] = f(dst[i])` in place.
 pub fn map_assign(dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        for v in dst.iter_mut() {
-            *v = f(*v);
-        }
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |_, chunk| {
-        for v in chunk.iter_mut() {
+    banded(dst, |_, d| {
+        for v in d.iter_mut() {
             *v = f(*v);
         }
     });
@@ -108,63 +84,23 @@ pub fn map_assign(dst: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
 /// Panics if the slices have different lengths.
 pub fn zip_assign(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) {
     assert_eq!(dst.len(), src.len(), "zip_assign length mismatch");
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        for (o, &v) in dst.iter_mut().zip(src) {
-            *o = f(*o, v);
-        }
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        let s = &src[start..start + chunk.len()];
-        for (o, &v) in chunk.iter_mut().zip(s) {
+    banded(dst, |at, d| {
+        for (o, &v) in d.iter_mut().zip(&src[at..]) {
             *o = f(*o, v);
         }
     });
 }
 
-/// Runs a slice kernel over the same parallel bands the closure kernels
-/// use (the shared banding rule is what keeps every elementwise variant
-/// bit-identical at any thread count).
-fn banded_unary(dst: &mut [f32], src: &[f32], kernel: fn(&mut [f32], &[f32])) {
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        kernel(dst, src);
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        kernel(chunk, &src[start..start + chunk.len()]);
-    });
+/// Runs a `qn-simd` slice kernel over the bands of [`banded`].
+fn banded_unary(dst: &mut [f32], src: &[f32], kernel: impl Fn(&mut [f32], &[f32]) + Sync) {
+    banded(dst, |at, d| kernel(d, &src[at..at + d.len()]));
 }
 
-fn banded_unary_s(dst: &mut [f32], src: &[f32], s: f32, kernel: fn(&mut [f32], &[f32], f32)) {
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        kernel(dst, src, s);
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        kernel(chunk, &src[start..start + chunk.len()], s);
-    });
-}
-
+/// The two-input twin of [`banded_unary`].
 fn banded_binary(dst: &mut [f32], a: &[f32], b: &[f32], kernel: fn(&mut [f32], &[f32], &[f32])) {
-    let n = dst.len();
-    if bands_for(n) <= 1 {
-        kernel(dst, a, b);
-        return;
-    }
-    let band = n.div_ceil(qn_parallel::num_threads());
-    qn_parallel::par_chunks_mut(dst, band, |bi, chunk| {
-        let start = bi * band;
-        let end = start + chunk.len();
-        kernel(chunk, &a[start..end], &b[start..end]);
+    banded(dst, |at, d| {
+        let end = at + d.len();
+        kernel(d, &a[at..end], &b[at..end]);
     });
 }
 
@@ -208,7 +144,7 @@ pub fn mul_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
 /// Panics if the slices have different lengths.
 pub fn scale_to(dst: &mut [f32], src: &[f32], s: f32) {
     assert_eq!(dst.len(), src.len(), "scale_to length mismatch");
-    banded_unary_s(dst, src, s, qn_simd::scale_to);
+    banded_unary(dst, src, |d, x| qn_simd::scale_to(d, x, s));
 }
 
 /// `dst[i] = src[i] + s` — bit-identical to the closure loop.
@@ -218,7 +154,7 @@ pub fn scale_to(dst: &mut [f32], src: &[f32], s: f32) {
 /// Panics if the slices have different lengths.
 pub fn add_scalar_to(dst: &mut [f32], src: &[f32], s: f32) {
     assert_eq!(dst.len(), src.len(), "add_scalar_to length mismatch");
-    banded_unary_s(dst, src, s, qn_simd::add_scalar_to);
+    banded_unary(dst, src, |d, x| qn_simd::add_scalar_to(d, x, s));
 }
 
 /// `dst[i] = src[i]²` — bit-identical to the closure loop.

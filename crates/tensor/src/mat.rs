@@ -60,6 +60,7 @@ use crate::{ActScale, Conv2dSpec, Tensor};
 use qn_simd::arch::{Avx2F32, Sse2F32};
 use qn_simd::arch::{ScalarF32, SimdF32};
 use qn_simd::SimdLevel;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Rows per register block of the micro-kernel.
 const MR: usize = 4;
@@ -576,24 +577,15 @@ impl StoreC for RowBand<'_> {
     }
 }
 
-/// Band rows from `first` of a transposed `C`: `(i, j)` lands at `j·m + i`
-/// of `slab`, the `m`-position output planes. Concurrent bands own disjoint
-/// rows, whose elements interleave, so they share `slab` as a raw pointer.
-/// An int8 product's `scales` (`sa` over the image's `m` rows, `sb` over
-/// the columns) turn each integer sum into `(acc·sa[i])·sb[j]` on the way.
-#[derive(Clone, Copy)]
+/// One image's transposed `C`: `(i, j)` lands at `j·m + i` of `slab`, the
+/// `m`-position output planes. An int8 product's `scales` (`sa` over the
+/// image's `m` rows, `sb` over the columns) turn each integer sum into
+/// `(acc·sa[i])·sb[j]` on the way.
 struct ColBand<'a> {
-    slab: *mut [f32],
+    slab: &'a mut [f32],
     m: usize,
-    first: usize,
     scales: Option<(&'a [f32], &'a [f32])>,
 }
-
-// SAFETY: `m` and `first` are plain integers and `scales` shared reads;
-// through `slab`, the bands of one product write disjoint rows of a buffer
-// that `patch_product` borrows mutably until every band has joined.
-unsafe impl Send for ColBand<'_> {}
-unsafe impl Sync for ColBand<'_> {}
 
 impl StoreC for ColBand<'_> {
     #[inline(always)]
@@ -605,19 +597,17 @@ impl StoreC for ColBand<'_> {
         }
         .store(acc, 0, MR, 0, NR);
         if let Some((sa, sb)) = self.scales {
-            let sa = &sa[self.first + i..self.first + i + mr];
-            for (row, &si) in tile.chunks_exact_mut(NR).zip(sa) {
+            for (row, &si) in tile.chunks_exact_mut(NR).zip(&sa[i..i + mr]) {
                 for (v, &sj) in row.iter_mut().zip(&sb[j..j + nr]) {
                     *v = *v * si * sj;
                 }
             }
         }
+        let (slab, m) = (&mut *self.slab, self.m);
         for jj in 0..nr {
-            let off = (j + jj) * self.m + self.first + i;
-            assert!(off + mr <= self.slab.len(), "store out of bounds");
-            for ii in 0..mr {
-                // SAFETY: in bounds, and no other band writes this row
-                *(self.slab as *mut f32).add(off + ii) = tile[ii * NR + jj];
+            let col = &mut slab[(j + jj) * m + i..][..mr];
+            for (ii, d) in col.iter_mut().enumerate() {
+                *d = tile[ii * NR + jj];
             }
         }
     }
@@ -947,8 +937,9 @@ fn pad_into(dst: &mut [f32], img: &[f32], (h, w): (usize, usize), p: usize, inv:
 /// into the packed path at every shape and stores transposed into the
 /// output planes; each element is the `gemm`-over-[`im2col`](crate::im2col)
 /// dot, from `+0.0` in the same order, so the bits match at any thread
-/// count and SIMD level. Large images split into bands of output positions
-/// across the pool.
+/// count and SIMD level. A large batch splits across images on the pool;
+/// one image's positions never split, so a single image runs on the
+/// calling thread.
 ///
 /// # Panics
 ///
@@ -961,10 +952,11 @@ pub fn gemm_patches(out: &mut [f32], x: &Tensor, spec: Conv2dSpec, b: MatRef<'_>
 /// The band loop of [`gemm_patches`] and, given `int8 = (sb, act)`, of
 /// [`gemm_i8_patches`](crate::gemm_i8_patches): patch row `r` is quantized
 /// at its `act` scale `sa[r]` and each sum stored as `(acc·sa[r])·sb[j]`.
-/// The padded planes and the scales come from the calling thread's
-/// [`scratch`] cache and are rewritten, borders included, for every image.
-/// Returns the largest patch-row absmax under [`ActScale::PerRow`], else
-/// `0.0`. `what` names the caller in panics.
+/// Each image's `[N, OH·OW]` slab is one unit of the pool split, and its
+/// padded planes and scales come from the [`scratch`] cache of the thread
+/// that runs it, rewritten, borders included, for every image. Returns the
+/// largest patch-row absmax under [`ActScale::PerRow`], else `0.0`. `what`
+/// names the caller in panics.
 pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
     what: &str,
     out: &mut [f32],
@@ -986,33 +978,22 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
         return 0.0;
     }
     let (p, hw) = (spec.padding, (h + 2 * spec.padding, w + 2 * spec.padding));
-    // an int8 product's row scales `sa` for one image and, while dynamic,
-    // their inverses `inv` and the image's per-pixel channel absmaxes, as
-    // `quantize_acts` in `qn-nn` derives the scales for the im2col rows;
     // every row shares a frozen scale, so each pixel is quantized once, as
     // it is padded: its code is the same in every patch row that holds it
-    let (frozen, mut scales) = match int8 {
-        None => (None, Vec::new()),
-        Some((_, ActScale::Frozen(s))) => {
-            let mut sa = scratch::take_f32(m);
-            sa.fill(s);
-            (Some(1.0 / s), sa)
-        }
-        Some((_, ActScale::PerRow)) => (None, scratch::take_f32(2 * m + hw.0 * hw.1)),
+    let frozen = match int8 {
+        Some((_, ActScale::Frozen(s))) => Some(1.0 / s),
+        _ => None,
     };
-    let (copy, mut seen) = (p > 0 || frozen.is_some(), 0.0f32);
-    let mut padded = if copy {
-        scratch::take_f32(c * hw.0 * hw.1)
-    } else {
-        Vec::new()
-    };
-    let (level, packed, blocks) = (SimdLevel::active(), pack_b(b), m.div_ceil(MR));
-    let (big, threads) = (m * n * k >= PAR_MIN_MACS, qn_parallel::num_threads());
-    let rows_per_band = blocks.div_ceil(if big { threads.min(blocks) } else { 1 }) * MR;
-    let chw = c * h * w;
-    for (i, slab) in out.chunks_mut(n * m).enumerate() {
+    let (copy, chw) = (p > 0 || frozen.is_some(), c * h * w);
+    let (level, packed) = (SimdLevel::active(), pack_b(b));
+    // bits of the largest dynamic row absmax, which is never negative, so
+    // its bits order as its values; read once every image has joined
+    let seen = AtomicU32::new(0);
+    let image = |i: usize, slab: &mut [f32]| {
         let img = &x.data()[i * chw..(i + 1) * chw];
+        let mut padded = Vec::new();
         if copy {
+            padded = scratch::take_f32(c * hw.0 * hw.1);
             pad_into(&mut padded, img, (h, w), p, frozen);
         }
         let mut a = Patches {
@@ -1022,13 +1003,26 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
             spec,
             inv: None,
         };
+        // an int8 product's row scales `sa` and, while dynamic, their
+        // inverses `inv` and the image's per-pixel channel absmaxes, as
+        // `quantize_acts` in `qn-nn` derives the scales for the im2col rows
+        let mut scales = match int8 {
+            None => Vec::new(),
+            Some((_, ActScale::Frozen(s))) => {
+                let mut sa = scratch::take_f32(m);
+                sa.fill(s);
+                sa
+            }
+            Some((_, ActScale::PerRow)) => scratch::take_f32(2 * m + hw.0 * hw.1),
+        };
         let sa = if let Some((_, ActScale::PerRow)) = int8 {
             let (sa, rest) = scales.split_at_mut(m);
             let (inv, pixel) = rest.split_at_mut(m);
             patch_absmax(sa, pixel, &a);
+            let mut max = 0.0f32;
             for (a, v) in sa.iter_mut().zip(&mut *inv) {
-                if *a > seen {
-                    seen = *a;
+                if *a > max {
+                    max = *a;
                 }
                 (*a, *v) = if *a > 0.0 && a.is_finite() {
                     (*a / 127.0, 127.0 / *a)
@@ -1036,35 +1030,30 @@ pub(crate) fn patch_product<T: Copy + Into<f32> + Sync>(
                     (0.0, 0.0)
                 };
             }
+            seen.fetch_max(max.to_bits(), Ordering::Relaxed);
             a.inv = Some(inv);
             &*sa
         } else {
             &scales[..]
         };
-        let scales = int8.map(|(sb, _)| (sa, sb));
-        let dst = ColBand {
+        let dst = &mut ColBand {
             slab,
             m,
-            first: 0,
-            scales,
+            scales: int8.map(|(sb, _)| (sa, sb)),
         };
-        let packed = &packed;
-        let band = move |first: usize| {
-            let (mut dst, rows) = (dst, rows_per_band.min(m - first));
-            dst.first = first;
-            run_band(&mut dst, rows, first, a, k, packed, level)
-        };
-        if rows_per_band >= m {
-            band(0);
-        } else {
-            let tasks = (0..m).step_by(rows_per_band);
-            qn_parallel::par_scope(tasks.map(|f| Box::new(move || band(f)) as _).collect());
+        run_band(dst, m, 0, a, k, &packed, level);
+        scratch::give_f32(scales);
+        scratch::give_f32(padded);
+    };
+    if out.len() * k >= PAR_MIN_MACS {
+        qn_parallel::par_chunks_mut(out, n * m, image);
+    } else {
+        for (i, slab) in out.chunks_mut(n * m).enumerate() {
+            image(i, slab);
         }
     }
     scratch::give_f32(packed.data);
-    scratch::give_f32(scales);
-    scratch::give_f32(padded);
-    seen
+    f32::from_bits(seen.into_inner())
 }
 
 /// Writes the absmax of each patch row of `a`'s image into `out` (`OH·OW`

@@ -123,10 +123,11 @@ fn patch_gemm_is_bit_identical_to_im2col_gemm() {
                     let c = [1usize, 3, 2][case % 3];
                     let n = [3usize, 8, 10, 17][case % 4];
                     let k = spec.patch_len(c);
-                    // the product splits into position bands from 32768 MACs
+                    // a batch splits across images from 32768 MACs
+                    let macs = batches * spec.output_hw(h, w).0 * ow * n * k;
                     ran += 1;
                     unaligned_widths += usize::from(!w.is_multiple_of(4));
-                    banded += usize::from(spec.output_hw(h, w).0 * ow * n * k >= 32768);
+                    banded += usize::from(batches >= 2 && macs >= 32768);
                     let x = edge_image(&[batches, c, h, w], &mut rng);
                     let wt = Tensor::randn(&[n, k], &mut rng);
                     assert_matches_im2col(&x, spec, MatRef::new(wt.data(), n, k).transpose());
@@ -154,8 +155,8 @@ fn patch_gemm_is_bit_identical_to_im2col_gemm() {
         let k = spec.patch_len(c);
         let (oh, ow) = spec.output_hw(side, side);
         assert!(
-            oh * ow * n * k >= 32768,
-            "{c}x{side}: too small to split into bands"
+            2 * oh * ow * n * k >= 32768,
+            "{c}x{side}: too small to split across images"
         );
         let x = edge_image(&[2, c, side, side], &mut rng);
         let wt = Tensor::randn(&[n, k], &mut rng);

@@ -11,7 +11,7 @@
 //! covers 3×3 stride 1 and 2 with padding 1 and 1×1 stride 2 without, 3
 //! input channels and ResNet-20's served planes (8–32 channels at 32, 16
 //! and 8 px), a batch of 2, planes whose `MR`-row tiles straddle row ends
-//! and padding, products that split into position bands, and images
+//! and padding, batches that split across images, and images
 //! holding NaN, ±∞ and −0.0 — at every SIMD level, at the pool's width and
 //! on one thread — and products after recycled scratch that held large
 //! values. Own integration binary because `force_level` is process-global.
@@ -109,8 +109,8 @@ fn int8_patch_product_is_bit_identical_to_the_im2col_route() {
     for (kernel, stride, padding) in [(3usize, 1usize, 1usize), (3, 2, 1), (1, 2, 0)] {
         let spec = Conv2dSpec::new(kernel, stride, padding);
         // widths that are not a multiple of `MR` make tiles wrap across
-        // row ends; the 16×16 image splits into bands at n = 40; the last
-        // three are ResNet-20's served planes (width 8)
+        // row ends; the 16×16 images split across images at n = 40 (3×3);
+        // the last three are ResNet-20's served planes (width 8)
         for (c, h, w, n, edges) in [
             (3usize, 5usize, 7usize, 6usize, false),
             (3, 9, 6, 13, true),
@@ -123,7 +123,8 @@ fn int8_patch_product_is_bit_identical_to_the_im2col_route() {
             let x = image(&[2, c, h, w], 1.5, edges, &mut rng);
             let wq = QTensor::quantize(&Tensor::randn(&[n, k], &mut rng));
             let (oh, ow) = spec.output_hw(h, w);
-            banded += usize::from(oh * ow * n * k >= 32768);
+            // a batch splits across images from 32768 MACs
+            banded += usize::from(2 * oh * ow * n * k >= 32768);
             for act in [ActScale::Frozen(0.02), ActScale::PerRow] {
                 ran += 1;
                 let what = format!(

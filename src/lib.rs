@@ -14,7 +14,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`parallel`] | `qn-parallel` | std-only worker pool: `par_scope`/`par_chunks_mut`, `QN_NUM_THREADS` sizing |
+//! | [`parallel`] | `qn-parallel` | std-only worker pool: allocation-free `par_chunks_mut` regions, `QN_NUM_THREADS` sizing |
 //! | [`simd`] | `qn-simd` | vectorized kernel layer: runtime SIMD dispatch, bit-identical at every level |
 //! | [`tensor`] | `qn-tensor` | dense `f32` tensors, matmul, convolution on patches packed from the image |
 //! | [`linalg`] | `qn-linalg` | symmetric eigendecomposition, spectral top-k |
